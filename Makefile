@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race test-fault test-crash test-sym serve-test serve-smoke cluster-test bench bench-smoke experiments experiments-quick experiments-json vet lint lint-specs fuzz-short cover examples clean
+.PHONY: all build test test-race test-fault test-crash test-sym serve-test serve-smoke cluster-test bench bench-smoke perf perf-smoke experiments experiments-quick experiments-json vet lint lint-specs fuzz-short cover examples clean
 
 all: build vet lint test
 
@@ -35,7 +35,7 @@ test-race:
 	$(GO) test -race -timeout 15m ./...
 
 # test-fault runs the fault-injection sweeps (internal/guard/faultinject):
-# cancellation, deadline expiry, and synthetic worker panics injected at
+# cancellation, deadline expiry, and synthetic panics injected at
 # every BFS level and pass boundary, under the race detector. See
 # docs/ROBUSTNESS.md.
 test-fault:
@@ -103,6 +103,18 @@ bench:
 # bit-rotted benchmarks without paying for real measurement.
 bench-smoke:
 	$(GO) test -bench . -benchtime=1x ./...
+
+# perf runs the end-to-end fspd benchmark declared in BENCHMARK.json:
+# every workload, default seed and duration. Build and run artefacts
+# stay under .bench_build/. See cmd/fspperf/README.md.
+perf:
+	bash cmd/fspperf/bench.sh
+
+# perf-smoke is the short run CI executes for its verdict check: the two
+# cold workloads, 3 seconds each. fspperf exits 1 on any wrong verdict
+# or failed step.
+perf-smoke:
+	bash cmd/fspperf/bench.sh --workload reach-cold,all-cold --seed 1 --seconds 3 --trace 0
 
 experiments:
 	$(GO) run ./cmd/fspbench

@@ -1,11 +1,11 @@
 // Package frozenbits enforces the aliasing contract of the interned
-// bitset arenas: the slices returned by the belief arena's set accessor
-// and the explore index's vec/Vec accessors alias the arena's backing
-// storage and are documented read-only. The arenas deduplicate by
-// content — the belief arena keys its id map on the byte image of the
-// words — so a single write through an escaped slice corrupts the
-// interned value for every other holder of the same id and silently
-// desynchronizes the id map from the data it indexes.
+// arenas: the slices returned by the belief arena's set accessor and the
+// explore Interner's Vec accessor alias the arena's backing storage and
+// are documented read-only. The arenas deduplicate by content — each
+// keys its id map on the byte image of the stored words — so a single
+// write through an escaped slice corrupts the interned value for every
+// other holder of the same id and silently desynchronizes the id map
+// from the data it indexes.
 //
 // Two mutation vectors are flagged:
 //
@@ -31,12 +31,12 @@ type accessor struct {
 	method string
 }
 
-// Accessors are the protected methods. The unexported ones can only be
-// called inside their own package; Vec is explore's public re-export.
+// Accessors are the protected methods. The belief arena's set is
+// unexported, so only belief can call it; the Interner's Vec is
+// exported, and both explore's passes and belief's context walk call it.
 var Accessors = []accessor{
 	{"fspnet/internal/game/belief", "arena", "set"},
-	{"fspnet/internal/explore", "index", "vec"},
-	{"fspnet/internal/explore", "Index", "Vec"},
+	{"fspnet/internal/explore", "Interner", "Vec"},
 }
 
 // Analyzer is the frozenbits check.

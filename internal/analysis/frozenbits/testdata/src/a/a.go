@@ -1,17 +1,22 @@
-// Package a writes through the real explore.Index.Vec accessor,
+// Package a writes through the real explore.Interner.Vec accessor,
 // proving the check fires on the actual exported API, not just the
 // shape mirrors.
 package a
 
 import "fspnet/internal/explore"
 
-func mutate(ix *explore.Index, gid int) {
-	ix.Vec(gid)[0] = 1 // want `write through an interned-bitset accessor slice`
+func mutate(in *explore.Interner, id int32) {
+	in.Vec(id)[0] = 1 // want `write through an interned-bitset accessor slice`
 }
 
-func sum(ix *explore.Index, gid int) uint32 {
+func mutateVar(in *explore.Interner, id int32) {
+	v := in.Vec(id)
+	v[1]++ // want `write to v, which aliases interned arena storage`
+}
+
+func sum(in *explore.Interner, id int32) uint32 {
 	var s uint32
-	for _, w := range ix.Vec(gid) {
+	for _, w := range in.Vec(id) {
 		s += w
 	}
 	return s

@@ -3,8 +3,11 @@
 // Package beliefmirror mirrors the shape of the belief arena's set
 // accessor so frozenbits can be exercised against the protected method
 // set without importing the real (unexported) type from outside its
-// package.
+// package, and walks context vectors through explore's real Interner the
+// way belief's context BFS does.
 package beliefmirror
+
+import "fspnet/internal/explore"
 
 type arena struct {
 	words []uint64
@@ -30,7 +33,7 @@ func viaVar(ar *arena, bid int32) {
 // Compound-assignment and inc/dec forms count as writes too.
 func forms(ar *arena, bid int32) {
 	ws := ar.set(bid)
-	ws[1]++ // want `write to ws, which aliases interned arena storage`
+	ws[1]++             // want `write to ws, which aliases interned arena storage`
 	ar.set(bid)[2] ^= 4 // want `write through an interned-bitset accessor slice`
 }
 
@@ -52,4 +55,20 @@ func copied(ar *arena, bid int32) []uint64 {
 	cur = append([]uint64(nil), cur...)
 	cur[0] |= 1
 	return cur
+}
+
+// The context walk reads each frontier vector through the shared
+// Interner; editing it in place instead of in scratch is flagged.
+func ctxStep(ci *explore.Interner, src int32) {
+	vec := ci.Vec(src)
+	vec[0] = 1          // want `write to vec, which aliases interned arena storage`
+	ci.Vec(src)[1] ^= 2 // want `write through an interned-bitset accessor slice`
+}
+
+// Interning a successor built in scratch is the documented use: clean.
+func ctxIntern(ci *explore.Interner, src int32, scratch []uint32) int32 {
+	copy(scratch, ci.Vec(src))
+	scratch[0]++
+	id, _ := ci.Intern(scratch)
+	return id
 }

@@ -1,39 +1,39 @@
 //fsplint:testpath fspnet/internal/explore
 
-// Package exploremirror mirrors the explore package's vec/Vec accessors
-// over the interned context-vector arena.
+// Package exploremirror mirrors the explore package's Interner and its
+// Vec accessor over the flat joint-vector arena, as the BFS and the
+// post-passes use it inside the package.
 package exploremirror
 
-type index struct {
+type Interner struct {
+	m    int
 	vecs []uint32
-	w    int
 }
 
-func (ix *index) vec(gid int32) []uint32 {
-	off := int(gid) * ix.w
-	return ix.vecs[off : off+ix.w]
+func (in *Interner) Vec(id int32) []uint32 {
+	lo := int(id) * in.m
+	return in.vecs[lo : lo+in.m : lo+in.m]
 }
 
-type Index struct {
-	ix *index
+func direct(in *Interner, id int32) {
+	in.Vec(id)[0] = 7 // want `write through an interned-bitset accessor slice`
 }
 
-func (ix *Index) Vec(gid int32) []uint32 {
-	return ix.ix.vec(gid)
-}
-
-func unexported(ix *index, gid int32) {
-	ix.vec(gid)[0] = 7 // want `write through an interned-bitset accessor slice`
-}
-
-func exported(ix *Index, gid int32) {
-	v := ix.Vec(gid)
+func viaVar(in *Interner, id int32) {
+	v := in.Vec(id)
 	v[0] = 7 // want `write to v, which aliases interned arena storage`
 }
 
-func readOnly(ix *Index, gid int32) uint32 {
+// Expansion copies the aliased vector into scratch before editing it:
+// clean.
+func expand(in *Interner, id int32, scratch []uint32) {
+	copy(scratch, in.Vec(id))
+	scratch[0] = 7
+}
+
+func readOnly(in *Interner, id int32) uint32 {
 	var sum uint32
-	for _, w := range ix.Vec(gid) {
+	for _, w := range in.Vec(id) {
 		sum += w
 	}
 	return sum

@@ -209,100 +209,75 @@ func workerPolled(g *guard.G, chunks func([]int) [][]int, succ func(int) []int) 
 	return nil
 }
 
-// Orbit-canonical interning loop (the explore BFS idiom): every
-// successor is canonicalized and routed through an intern method before
-// it may join the frontier, so both the growth and the governor access
-// are two method hops away from the loop. The analyzer expands
-// same-package methods, so the amortized poll inside intern keeps the
-// loop clean.
-type interner struct {
-	g        *guard.G
-	frontier []int
-	seen     map[int]bool
+// Sequential dense-id BFS (the explore BFS idiom): the interner assigns
+// ids in discovery order over one flat arena, so a level's fresh states
+// are the arena tail and the frontier is replaced wholesale by that tail
+// each level. The governor is polled at the head of every level and
+// charged with the level's fresh states at its end: clean.
+type denseInterner struct {
+	ids  map[int]int32
+	vecs []int
 }
 
-// canon stands in for the orbit-minimization step: map the state to its
-// orbit representative.
-func (ix *interner) canon(v int) int {
-	if v < 0 {
-		return -v
+func (in *denseInterner) intern(v int) (int32, bool) {
+	if id, ok := in.ids[v]; ok {
+		return id, false
 	}
-	return v
+	id := int32(len(in.vecs))
+	in.ids[v] = id
+	in.vecs = append(in.vecs, v)
+	return id, true
 }
 
-func (ix *interner) intern(v int) error {
-	if len(ix.seen)%512 == 0 {
-		if err := ix.g.Poll("bfs", len(ix.seen)/512); err != nil {
+// from returns the arena from id on.
+func (in *denseInterner) from(id int) []int { return in.vecs[id:] }
+
+func densePolled(g *guard.G, succ func(int) []int) error {
+	in := &denseInterner{ids: map[int]int32{}}
+	in.intern(0)
+	frontier := in.from(0)
+	depth := 0
+	for len(frontier) > 0 {
+		if err := g.Poll("bfs", depth); err != nil {
+			return err
+		}
+		next := len(in.vecs)
+		for _, v := range frontier {
+			for _, s := range succ(v) {
+				in.intern(s)
+			}
+		}
+		depth++
+		frontier = in.from(next)
+		if err := g.Charge(len(in.vecs) - next); err != nil {
 			return err
 		}
 	}
-	rep := ix.canon(v)
-	if !ix.seen[rep] {
-		ix.seen[rep] = true
-		ix.frontier = append(ix.frontier, rep)
-	}
 	return nil
 }
 
-func canonPolled(g *guard.G, succ func(int) []int) error {
-	ix := &interner{g: g, seen: map[int]bool{0: true}}
-	ix.frontier = []int{0}
-	frontier := ix.frontier
-	for len(frontier) > 0 {
-		v := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		for _, s := range succ(v) {
-			if err := ix.intern(s); err != nil {
-				return err
+// The same sequential BFS without the level poll and charge: interning
+// bounds nothing but repeats, so the loop is an ungoverned worklist —
+// flagged.
+func denseUnpolled(succ func(int) []int) int {
+	in := &denseInterner{ids: map[int]int32{}}
+	in.intern(0)
+	frontier := in.from(0)
+	depth := 0
+	for len(frontier) > 0 { // want `worklist loop over frontier never polls the governor`
+		next := len(in.vecs)
+		for _, v := range frontier {
+			for _, s := range succ(v) {
+				in.intern(s)
 			}
 		}
-		frontier = append(frontier, ix.frontier...)
-		ix.frontier = ix.frontier[:0]
+		depth++
+		frontier = in.from(next)
 	}
-	return nil
+	return depth
 }
 
-// The same interning shape with a representative cache but no governor:
-// the canonicalization does not bound the orbit count, so the loop is
-// still an ungoverned worklist — flagged.
-type freeInterner struct {
-	frontier []int
-	seen     map[int]bool
-}
-
-func (ix *freeInterner) canon(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-func (ix *freeInterner) intern(v int) {
-	rep := ix.canon(v)
-	if !ix.seen[rep] {
-		ix.seen[rep] = true
-		ix.frontier = append(ix.frontier, rep)
-	}
-}
-
-func canonUnpolled(succ func(int) []int) int {
-	ix := &freeInterner{seen: map[int]bool{0: true}}
-	frontier := []int{0}
-	states := 0
-	for len(frontier) > 0 { // want `worklist loop over frontier never polls the governor`
-		v := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		states++
-		for _, s := range succ(v) {
-			ix.intern(s)
-		}
-		frontier = append(frontier, ix.frontier...)
-		ix.frontier = ix.frontier[:0]
-	}
-	return states
-}
-
-// The same sharded shape with workers that never touch the governor:
+// The parallel-worker shape with workers that never touch the governor:
 // still a worklist, still flagged.
 func workerUnpolled(chunks func([]int) [][]int, succ func(int) []int) int {
 	wave := []int{0}

@@ -3,175 +3,218 @@ package explore
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
-	"sync"
+	"math/bits"
 
 	"fspnet/internal/guard"
 	"fspnet/internal/symred"
 )
 
-// numShards is the visited-set sharding factor; a power of two so the
-// hash maps to a shard with a mask.
-const numShards = 64
-
-// shard is one slice of the visited set. ids maps a packed vector key to
-// the per-shard id; the arena holds the only copy of each vector, id i at
-// vecs[i*m : (i+1)*m]. During the parallel BFS workers only intern (under
-// mu); the arena is read exclusively by the sequential post-passes, so no
-// reader can observe an append-in-progress slice header.
-type shard struct {
-	mu   sync.Mutex
-	ids  map[string]uint32
-	vecs []uint32
+// Interner is the visited set of joint state vectors, shared by the
+// engine's BFS and post-passes and by the belief engine's context walk.
+// It assigns dense int32 ids in discovery order and keeps one flat arena,
+// id i at [i*m, (i+1)*m), so a BFS that expands states in id order
+// reads its frontier straight out of the arena and records edges that
+// are already dense. Keys pack every component at the narrowest width
+// (1, 2, or 4 bytes) that holds the largest process's state count — one
+// byte per component in the common case — into a second flat arena,
+// indexed by an open-addressing table of ids. Every array is
+// pointer-free, so the garbage collector never scans the visited set.
+// An Interner is strictly sequential: it is not safe for concurrent
+// use.
+type Interner struct {
+	m     int
+	width int      // key bytes per component: 1, 2, or 4
+	kw    int      // key bytes per vector: width·m
+	n     int      // interned vectors
+	vecs  []uint32 // flat vector arena, id i at [i*m, (i+1)*m)
+	keys  []byte   // flat key arena, id i at [i*kw, (i+1)*kw)
+	slots []int32  // linear-probing table of id+1 (0: empty); len a power of two
+	kb    []byte   // key scratch
 }
 
-// interner is the sharded visited set of joint state vectors.
-type interner struct {
-	m      int
-	shards [numShards]shard
-}
+// NewInterner returns an empty interner for the joint vectors of M's
+// network.
+func NewInterner(M *Machine) *Interner { return M.mc.newInterner() }
 
-func newInterner(m int) *interner {
-	in := &interner{m: m}
-	for i := range in.shards {
-		in.shards[i].ids = make(map[string]uint32)
+func (mc *machine) newInterner() *Interner {
+	most := 0
+	for _, p := range mc.procs {
+		most = max(most, p.NumStates())
 	}
-	return in
+	return newInterner(mc.m, most)
 }
 
-// keyBytes packs vec into kb (little-endian uint32s) and returns kb.
-func keyBytes(kb []byte, vec []uint32) []byte {
-	for i, v := range vec {
-		binary.LittleEndian.PutUint32(kb[i*4:], v)
+// newInterner returns an empty interner for vectors of m components,
+// each below states.
+func newInterner(m, states int) *Interner {
+	width := 4
+	switch {
+	case states <= 1<<8:
+		width = 1
+	case states <= 1<<16:
+		width = 2
+	}
+	kw := width * m
+	return &Interner{m: m, width: width, kw: kw, slots: make([]int32, 64), kb: make([]byte, kw)}
+}
+
+// key packs vec into the key scratch and returns it.
+func (in *Interner) key(vec []uint32) []byte {
+	kb := in.kb
+	switch in.width {
+	case 1:
+		for i, v := range vec {
+			kb[i] = byte(v)
+		}
+	case 2:
+		for i, v := range vec {
+			binary.LittleEndian.PutUint16(kb[i*2:], uint16(v))
+		}
+	default:
+		for i, v := range vec {
+			binary.LittleEndian.PutUint32(kb[i*4:], v)
+		}
 	}
 	return kb
 }
 
-// FNV-1a; a fixed hash keeps shard assignment — and with it the dense ids
-// the post-passes derive — identical across runs.
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
-
-func shardOf(kb []byte) int {
-	h := fnvOffset
+// hashKey mixes a packed key eight bytes at a time and finishes with the
+// splitmix64 finalizer, so the table's low bits are well spread. It is a
+// fixed function: ids never depend on it, but a fixed table layout keeps
+// runs reproducible down to their probe sequences.
+func hashKey(kb []byte) uint64 {
+	h := uint64(len(kb))
+	for ; len(kb) >= 8; kb = kb[8:] {
+		h = bits.RotateLeft64(h^binary.LittleEndian.Uint64(kb)*0x87c37b91114253d5, 31) * 0x4cf5ad432745937f
+	}
 	for _, b := range kb {
-		h ^= uint64(b)
-		h *= fnvPrime
+		h = (h ^ uint64(b)) * 0x100000001b3
 	}
-	return int(h & (numShards - 1))
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	return h ^ h>>31
 }
 
-// intern records vec (with key kb) if unseen and reports whether it was
-// fresh. Exactly one caller wins a given key, so per-level fresh counts
-// and next-frontier contents are deterministic set unions.
-func (in *interner) intern(kb []byte, vec []uint32) bool {
-	sh := &in.shards[shardOf(kb)]
-	sh.mu.Lock()
-	if _, ok := sh.ids[string(kb)]; ok {
-		sh.mu.Unlock()
-		return false
-	}
-	sh.ids[string(kb)] = uint32(len(sh.vecs) / in.m)
-	sh.vecs = append(sh.vecs, vec...)
-	sh.mu.Unlock()
-	return true
-}
-
-// index gives the post-passes dense global ids over the interned set:
-// shard s owns the contiguous range [bases[s], bases[s+1]). Build and use
-// only after the BFS has finished; it reads the arenas unlocked.
-type index struct {
-	in    *interner
-	bases [numShards + 1]int
-}
-
-func (in *interner) buildIndex() *index {
-	ix := &index{in: in}
-	for i := 0; i < numShards; i++ {
-		ix.bases[i+1] = ix.bases[i] + len(in.shards[i].ids)
-	}
-	return ix
-}
-
-func (ix *index) size() int { return ix.bases[numShards] }
-
-// vec returns the joint vector of a dense id. The slice aliases the
-// arena; callers must not modify it.
-func (ix *index) vec(gid int) []uint32 {
-	lo, hi := 0, numShards
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		if ix.bases[mid] <= gid {
-			lo = mid
-		} else {
-			hi = mid
+// find returns the table slot holding key kb and its id, or the empty
+// slot where kb belongs and −1.
+func (in *Interner) find(kb []byte) (int, int32) {
+	mask := len(in.slots) - 1
+	for i := int(hashKey(kb)) & mask; ; i = (i + 1) & mask {
+		s := in.slots[i]
+		if s == 0 {
+			return i, -1
+		}
+		lo := int(s-1) * in.kw
+		if string(in.keys[lo:lo+in.kw]) == string(kb) {
+			return i, s - 1
 		}
 	}
-	local := gid - ix.bases[lo]
-	m := ix.in.m
-	return ix.in.shards[lo].vecs[local*m : (local+1)*m]
 }
 
-// gid returns the dense id of an interned vector key.
-func (ix *index) gid(kb []byte) int {
-	s := shardOf(kb)
-	return ix.bases[s] + int(ix.in.shards[s].ids[string(kb)])
+// grow doubles the table and reinserts every id from the key arena.
+func (in *Interner) grow() {
+	in.slots = make([]int32, 2*len(in.slots))
+	mask := len(in.slots) - 1
+	for id := 0; id < in.n; id++ {
+		i := int(hashKey(in.keys[id*in.kw:(id+1)*in.kw])) & mask
+		for in.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		in.slots[i] = int32(id + 1)
+	}
 }
 
-// bfsFlags are the monotone verdict bits merged at level barriers.
+// Intern records a copy of vec if unseen and returns its dense id and
+// whether it was fresh.
+func (in *Interner) Intern(vec []uint32) (int32, bool) {
+	kb := in.key(vec)
+	i, id := in.find(kb)
+	if id >= 0 {
+		return id, false
+	}
+	id = int32(in.n)
+	in.n++
+	in.slots[i] = id + 1
+	in.keys = appendDoubling(in.keys, kb)
+	in.vecs = appendDoubling(in.vecs, vec)
+	if 2*in.n > len(in.slots) {
+		in.grow()
+	}
+	return id, true
+}
+
+// appendDoubling is append with capacity doubling. The arenas are the
+// largest allocations of a run, and append's own growth factor for large
+// slices (1.25×) would allocate about five times their final size.
+func appendDoubling[T any](s, v []T) []T {
+	if len(s)+len(v) > cap(s) {
+		grown := make([]T, len(s), 2*cap(s)+len(v))
+		copy(grown, s)
+		s = grown
+	}
+	return append(s, v...)
+}
+
+// ID returns the dense id of an interned vector, or −1 if vec was never
+// interned.
+func (in *Interner) ID(vec []uint32) int32 {
+	_, id := in.find(in.key(vec))
+	return id
+}
+
+// Len returns the number of interned vectors.
+func (in *Interner) Len() int { return in.n }
+
+// Vec returns the joint vector of id. The slice aliases the arena and is
+// read-only; stored vectors never change, so it stays valid across later
+// Interns.
+func (in *Interner) Vec(id int32) []uint32 {
+	lo := int(id) * in.m
+	return in.vecs[lo : lo+in.m : lo+in.m]
+}
+
+// from returns the arena from id on: the flat vectors of every state
+// interned since the arena held id states.
+func (in *Interner) from(id int) []uint32 { return in.vecs[id*in.m:] }
+
+// bfsFlags are the monotone verdict bits, merged at level ends.
 type bfsFlags struct {
 	stuckLeaf    bool // acyclic: some stuck vector has P at a leaf
 	stuckNonLeaf bool // acyclic: some stuck vector has P off-leaf
 	blocked      bool // cyclic: some vector has no joint move at all
 }
 
-type workerOut struct {
-	next      []uint32
-	flags     bfsFlags
-	fresh     int
-	moves     int64
-	orbitHits int64
-	panicked  error
-}
-
-// bfs runs the level-synchronized parallel exploration from the joint
-// start vector. Frontiers carry the vectors themselves (flat, m words per
-// entry), so workers never read the shared arenas. done is consulted only
-// at level barriers, as are the MaxStates budget and the governor's
-// cancellation/deadline checks; together with the monotone flags this
-// makes the returned flags and Stats independent of Workers — including
-// on every error path, where flags and Stats are those of the last
-// completed barrier.
-//
-// Worker panics are recovered inside the worker goroutine itself (after
-// wg.Done is already deferred, so the barrier can never deadlock) and
-// surface at the barrier as a guard.ErrPanic reason; the merge of a
-// panicked level is discarded because a half-expanded level would make
-// flags and fresh counts depend on scheduling.
-func (mc *machine) bfs(cyclic bool, o Options, sy *symState, done func(bfsFlags) bool) (*interner, bfsFlags, Stats, error) {
-	in := newInterner(mc.m)
+// bfs runs the level-synchronized exploration from the joint start
+// vector. Ids are dense in discovery order, so each level's fresh states
+// are one contiguous id range and the next frontier is the arena tail
+// they occupy. done is consulted only at the head of a level, as are the
+// MaxStates budget and the governor's cancellation/deadline checks; the
+// level's fresh states are charged at its end. The returned flags and
+// Stats are those of the last completed level on every path — including
+// a panic inside a level, which is recovered into a guard.ErrPanic
+// reason with the half-expanded level discarded.
+func (mc *machine) bfs(cyclic bool, o Options, sy *symState, done func(bfsFlags) bool) (*Interner, bfsFlags, Stats, error) {
+	in := mc.newInterner()
 	limit := maxStates(o)
 	g := o.Guard
-	workers := o.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	start := mc.startVec()
+	var cz *symred.Canonizer
 	if sy != nil {
 		// An automorphism fixes every component's start state, so the
 		// joint start is its own orbit representative; canonicalize anyway
 		// so the invariant "everything interned is canonical" has a single
 		// enforcement point.
+		cz = sy.grp.NewCanonizer()
 		canon := make([]uint32, mc.m)
-		sy.grp.NewCanonizer().Canon(start, canon)
+		cz.Canon(start, canon)
 		start = canon
 	}
-	in.intern(keyBytes(make([]byte, 4*mc.m), start), start)
-	frontier := append([]uint32(nil), start...)
+	in.Intern(start)
 	var flags bfsFlags
 	stats := Stats{States: 1}
+	frontier := in.from(0)
 	for len(frontier) > 0 {
 		if done(flags) {
 			break
@@ -182,55 +225,20 @@ func (mc *machine) bfs(cyclic bool, o Options, sy *symState, done func(bfsFlags)
 		if stats.States > limit {
 			return in, flags, stats, fmt.Errorf("explore: %d joint states interned: %w", stats.States, ErrBudget)
 		}
-		nvecs := len(frontier) / mc.m
-		w := workers
-		if w > nvecs {
-			w = nvecs
+		next := in.Len()
+		lv, err := mc.expandLevel(cyclic, in, sy, cz, frontier, g, stats.Depth)
+		if err != nil {
+			return in, flags, stats, fmt.Errorf("explore: %w", err)
 		}
-		depth := stats.Depth
-		outs := make([]workerOut, w)
-		var wg sync.WaitGroup
-		for wi := 0; wi < w; wi++ {
-			wg.Add(1)
-			go func(wi int) {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						outs[wi].panicked = fmt.Errorf("%w: worker %d at BFS level %d: %v",
-							guard.ErrPanic, wi, depth, r)
-					}
-				}()
-				if g.ShouldPanic("bfs", depth) {
-					panic("faultinject: synthetic worker panic")
-				}
-				lo, hi := wi*nvecs/w, (wi+1)*nvecs/w
-				outs[wi] = mc.expandChunk(cyclic, in, sy, frontier, lo, hi)
-			}(wi)
-		}
-		wg.Wait()
-		for i := range outs {
-			if outs[i].panicked != nil {
-				return in, flags, stats, fmt.Errorf("explore: %w", outs[i].panicked)
-			}
-		}
-		total := 0
-		for i := range outs {
-			total += len(outs[i].next)
-		}
-		next := make([]uint32, 0, total)
-		fresh := 0
-		for i := range outs {
-			next = append(next, outs[i].next...)
-			flags.stuckLeaf = flags.stuckLeaf || outs[i].flags.stuckLeaf
-			flags.stuckNonLeaf = flags.stuckNonLeaf || outs[i].flags.stuckNonLeaf
-			flags.blocked = flags.blocked || outs[i].flags.blocked
-			fresh += outs[i].fresh
-			stats.Moves += outs[i].moves
-			stats.OrbitHits += outs[i].orbitHits
-		}
+		flags.stuckLeaf = flags.stuckLeaf || lv.flags.stuckLeaf
+		flags.stuckNonLeaf = flags.stuckNonLeaf || lv.flags.stuckNonLeaf
+		flags.blocked = flags.blocked || lv.flags.blocked
+		stats.Moves += lv.moves
+		stats.OrbitHits += lv.orbitHits
+		fresh := in.Len() - next
 		stats.States += fresh
-		frontier = next
 		stats.Depth++
+		frontier = in.from(next)
 		if err := g.Charge(fresh); err != nil {
 			return in, flags, stats, fmt.Errorf("explore: %d joint states interned: %w", stats.States, err)
 		}
@@ -238,25 +246,38 @@ func (mc *machine) bfs(cyclic bool, o Options, sy *symState, done func(bfsFlags)
 	return in, flags, stats, nil
 }
 
-// expandChunk expands frontier vectors [lo, hi) into a worker-local next
-// frontier, interning successors and classifying moveless vectors. With
-// symmetry active, successors are canonicalized before interning —
-// frontiers then carry orbit representatives only — and a stuck
+// levelOut is what one BFS level contributes, merged only once the
+// level completes.
+type levelOut struct {
+	flags     bfsFlags
+	moves     int64
+	orbitHits int64
+}
+
+// expandLevel expands the frontier's vectors (flat, m words each) in id
+// order, interning successors and classifying moveless vectors. With
+// symmetry active, successors are canonicalized before interning — the
+// arena then holds orbit representatives only — and a stuck
 // representative is classified once per position the distinguished
 // process's role can occupy in it (every such raw stuck state is
-// genuinely reachable: automorphisms fix the start vector).
-func (mc *machine) expandChunk(cyclic bool, in *interner, sy *symState, frontier []uint32, lo, hi int) workerOut {
-	var out workerOut
+// genuinely reachable: automorphisms fix the start vector). A panic,
+// injected or genuine, is recovered into a guard.ErrPanic reason.
+func (mc *machine) expandLevel(cyclic bool, in *Interner, sy *symState, cz *symred.Canonizer, frontier []uint32, g *guard.G, depth int) (out levelOut, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%w: at BFS level %d: %v", guard.ErrPanic, depth, r)
+		}
+	}()
+	if g.ShouldPanic("bfs", depth) {
+		panic("faultinject: synthetic BFS panic")
+	}
 	scratch := make([]uint32, mc.m)
-	kb := make([]byte, 4*mc.m)
-	var cz *symred.Canonizer
 	var canon []uint32
-	if sy != nil {
-		cz = sy.grp.NewCanonizer()
+	if cz != nil {
 		canon = make([]uint32, mc.m)
 	}
-	for v := lo; v < hi; v++ {
-		vec := frontier[v*mc.m : (v+1)*mc.m]
+	for v := 0; v < len(frontier); v += mc.m {
+		vec := frontier[v : v+mc.m]
 		moved := mc.expand(vec, scratch, func(succ []uint32, kind int) bool {
 			out.moves++
 			if cz != nil {
@@ -265,10 +286,7 @@ func (mc *machine) expandChunk(cyclic bool, in *interner, sy *symState, frontier
 				}
 				succ = canon
 			}
-			if in.intern(keyBytes(kb, succ), succ) {
-				out.fresh++
-				out.next = append(out.next, succ...)
-			}
+			in.Intern(succ)
 			return true
 		})
 		if !moved {
@@ -294,5 +312,5 @@ func (mc *machine) expandChunk(cyclic bool, in *interner, sy *symState, frontier
 			}
 		}
 	}
-	return out
+	return out, nil
 }

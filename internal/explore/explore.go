@@ -10,14 +10,17 @@
 //     every action exactly two owners, so each non-τ joint move is a
 //     handshake between exactly two components and successor enumeration
 //     never scans all m processes per action;
-//   - interned state vectors: local states are dense uint32 ids packed
-//     into a byte-string key, and a sharded intern table owns the only
-//     copy of each visited vector (an arena of flat uint32 blocks);
-//   - a level-synchronized parallel BFS over the reachable joint space,
-//     with the visited set sharded by vector hash. Verdict bits
-//     (stuck-at-leaf, stuck-off-leaf, blocked) are monotone and merged at
-//     level barriers, so the verdict — and every reported statistic — is
-//     independent of worker count and scheduling.
+//   - interned state vectors: one sequential Interner packs each vector
+//     into a byte key at the narrowest width its state counts allow,
+//     assigns dense ids in discovery order, and owns the only copy of
+//     each visited vector in one flat uint32 arena;
+//   - a sequential level-by-level BFS over the reachable joint space that
+//     expands states in id order, so each level's frontier is the arena
+//     tail of the previous level's fresh states. Verdict bits
+//     (stuck-at-leaf, stuck-off-leaf, blocked) are monotone and merged
+//     only when a level completes; the governor is polled at each level's
+//     head and charged at its end, so the verdict, every reported
+//     statistic and every partial verdict are deterministic.
 //
 // The engine decides S_u and S_c only. Success in adversity S_a is a game
 // of partial information whose belief sets genuinely range over the
@@ -52,19 +55,18 @@ const DefaultMaxStates = 1 << 24
 
 // Options configure one engine run.
 type Options struct {
-	// Workers bounds the frontier parallelism; ≤ 0 means GOMAXPROCS.
-	// Verdicts and Stats do not depend on it.
+	// Deprecated: ignored. The BFS is sequential.
 	Workers int
 	// MaxStates bounds the interned joint vectors (ErrBudget beyond it);
-	// ≤ 0 means DefaultMaxStates. The bound is checked at level barriers,
-	// so the count at failure is deterministic.
+	// ≤ 0 means DefaultMaxStates. The bound is checked at the head of
+	// every BFS level, so the count at failure is deterministic.
 	MaxStates int
 	// Guard, when non-nil, governs the run: cancellation and deadlines
-	// are polled at every BFS level barrier and pass boundary, and fresh
-	// joint states are charged against its joint budget. On exhaustion
-	// the engine returns a *guard.LimitErr whose partial verdict reports
-	// barrier-accurate stats plus any predicate already decided by the
-	// monotone flags.
+	// are polled at the head of every BFS level and at every pass
+	// boundary, and each level's fresh joint states are charged against
+	// its joint budget. On exhaustion the engine returns a
+	// *guard.LimitErr whose partial verdict reports level-accurate stats
+	// plus any predicate already decided by the monotone flags.
 	Guard *guard.G
 	// Tune carries the symmetry-reduction knobs.
 	Tune Tuning
@@ -167,7 +169,7 @@ func acyclic(n *network.Network, i int, o Options, needSu, needSc bool) (Result,
 		return Result{Stats: stats}, limitErr(o.Guard, err, "bfs", false, flags, stats)
 	}
 	if sy != nil {
-		stats.SymStates, err = mc.symStatesPass(in.buildIndex(), sy, o.Guard)
+		stats.SymStates, err = mc.symStatesPass(in, sy, o.Guard)
 		if err != nil {
 			return Result{Stats: stats}, limitErr(o.Guard, err, "canon", false, flags, stats)
 		}
@@ -238,14 +240,10 @@ func cyclic(n *network.Network, i int, o Options, needSu, needSc bool) (Result, 
 	if err != nil {
 		return res, limitErr(o.Guard, err, "bfs", true, flags, stats)
 	}
-	var ix *index
 	var sg *symGraph
 	adjacency := func() error {
-		if ix == nil {
-			ix = in.buildIndex()
-		}
 		if sy != nil && sg == nil {
-			sg, err = mc.buildSymGraph(ix, sy, o.Guard)
+			sg, err = mc.buildSymGraph(in, sy, o.Guard)
 			return err
 		}
 		return nil
@@ -259,7 +257,7 @@ func cyclic(n *network.Network, i int, o Options, needSu, needSc bool) (Result, 
 			if sy != nil {
 				blocked, err = mc.ctxTauCycleSym(sg, sy, o.Guard)
 			} else {
-				blocked, err = mc.ctxTauCycle(ix, o.Guard)
+				blocked, err = mc.ctxTauCycle(in, o.Guard)
 			}
 			if err != nil {
 				return res, limitErr(o.Guard, err, "tau-cycle", true, flags, stats)
@@ -280,7 +278,7 @@ func cyclic(n *network.Network, i int, o Options, needSu, needSc bool) (Result, 
 		if sy != nil {
 			sc, err = mc.handshakeCycleSym(sg, sy, o.Guard)
 		} else {
-			sc, err = mc.handshakeCycle(ix, o.Guard)
+			sc, err = mc.handshakeCycle(in, o.Guard)
 		}
 		if err != nil {
 			lerr := limitErr(o.Guard, err, "handshake-cycle", true, flags, stats)
@@ -294,10 +292,7 @@ func cyclic(n *network.Network, i int, o Options, needSu, needSc bool) (Result, 
 		res.Sc = sc
 	}
 	if sy != nil {
-		if ix == nil {
-			ix = in.buildIndex()
-		}
-		res.Stats.SymStates, err = mc.symStatesPass(ix, sy, o.Guard)
+		res.Stats.SymStates, err = mc.symStatesPass(in, sy, o.Guard)
 		if err != nil {
 			lerr := limitErr(o.Guard, err, "canon", true, flags, res.Stats)
 			var le *guard.LimitErr
@@ -334,7 +329,7 @@ func probeLimitErr(g *guard.G, err error, pr probeResult, stats Stats) error {
 }
 
 // limitErr converts a governor stop reason from one of the passes into a
-// *guard.LimitErr carrying barrier-accurate stats and whichever
+// *guard.LimitErr carrying level-accurate stats and whichever
 // predicates the monotone flags had already forced. Non-limit errors
 // (shape violations) pass through untouched.
 func limitErr(g *guard.G, err error, pass string, cyclic bool, flags bfsFlags, stats Stats) error {

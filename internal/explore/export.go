@@ -6,10 +6,11 @@ import (
 )
 
 // This file is the exported reuse surface of the engine's internals —
-// the compiled action-owner machine, the context-move enumerator, and
-// the sharded vector interner — for solvers outside this package that
-// walk the same joint space without composing the context. Its one
-// consumer today is internal/game/belief, the compose-free S_a engine.
+// the compiled action-owner machine and the context-move enumerator —
+// for solvers outside this package that walk the same joint space
+// without composing the context; the Interner they record vectors in is
+// exported from bfs.go. Its one consumer today is internal/game/belief,
+// the compose-free S_a engine.
 
 // Machine is the compiled form of a network for one distinguished
 // process: per-process move tables indexed by dense action ids and the
@@ -38,11 +39,6 @@ func (M *Machine) DistStart() uint32 { return uint32(M.mc.procs[M.mc.dist].Start
 
 // NumDistStates returns the state count of the distinguished process.
 func (M *Machine) NumDistStates() int { return M.mc.procs[M.mc.dist].NumStates() }
-
-// NumProcStates returns the state count of process i. Walkers that keep
-// their own intern table use it to pick the narrowest per-component key
-// width that still distinguishes every joint vector.
-func (M *Machine) NumProcStates(i int) int { return M.mc.procs[i].NumStates() }
 
 // DistLeaf reports whether state s of the distinguished process is a
 // leaf.
@@ -88,40 +84,3 @@ func (M *Machine) CheckAcyclicShape(budget int, g *guard.G) error {
 func (M *Machine) CtxMoves(vec, scratch []uint32, fn func(succ []uint32, aid int32) bool) {
 	M.mc.ctxExpandLabeled(vec, scratch, fn)
 }
-
-// Interner is the sharded intern table of joint state vectors, exported
-// for engines that enumerate a sub-relation of the joint graph (the
-// belief engine's context walk). Intern is safe for concurrent use.
-type Interner struct {
-	in *interner
-}
-
-// NewInterner returns an empty interner for vectors of m components.
-func NewInterner(m int) *Interner { return &Interner{in: newInterner(m)} }
-
-// PackVec packs vec into kb (little-endian uint32s, len(kb) = 4·len(vec))
-// and returns kb — the key bytes Intern and Gid consume.
-func PackVec(kb []byte, vec []uint32) []byte { return keyBytes(kb, vec) }
-
-// Intern records vec (with key kb) if unseen and reports whether it was
-// fresh.
-func (I *Interner) Intern(kb []byte, vec []uint32) bool { return I.in.intern(kb, vec) }
-
-// Index glues the per-shard id spaces into one dense global id space.
-// Build it only after all Intern calls have finished.
-func (I *Interner) Index() *Index { return &Index{ix: I.in.buildIndex()} }
-
-// Index maps interned vectors to dense global ids and back.
-type Index struct {
-	ix *index
-}
-
-// Size returns the number of interned vectors.
-func (X *Index) Size() int { return X.ix.size() }
-
-// Vec returns the joint vector of a dense id. The slice aliases the
-// intern arena; callers must not modify it.
-func (X *Index) Vec(gid int) []uint32 { return X.ix.vec(gid) }
-
-// Gid returns the dense id of an interned vector key.
-func (X *Index) Gid(kb []byte) int { return X.ix.gid(kb) }

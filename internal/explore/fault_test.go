@@ -1,8 +1,8 @@
 // Fault-injection sweeps for the governed engine: cancellation, deadline
-// expiry, and synthetic worker panics injected at every BFS level and
-// pass boundary must always surface as a well-formed *guard.LimitErr —
-// never a hang, a deadlocked barrier, or a partial verdict the
-// uncancelled run contradicts. Run under -race via `make test-fault`
+// expiry, and synthetic panics injected at every BFS level and pass
+// boundary must always surface as a well-formed *guard.LimitErr — never
+// a hang, an unrecovered panic, or a partial verdict the uncancelled run
+// contradicts. Run under -race via `make test-fault`
 // (go test -race -run FaultInject ./...).
 package explore_test
 
@@ -19,10 +19,9 @@ import (
 	"fspnet/internal/network"
 )
 
-// faultOpts returns engine options governed by the given hook, with
-// enough workers that barrier recovery is exercised concurrently.
+// faultOpts returns engine options governed by the given hook.
 func faultOpts(h guard.Hook) explore.Options {
-	return explore.Options{Workers: 4, Guard: guard.New(guard.Config{Hook: h})}
+	return explore.Options{Guard: guard.New(guard.Config{Hook: h})}
 }
 
 // faultOptsTuned is faultOpts with explicit symmetry tuning, for sweeps
@@ -51,11 +50,11 @@ func cyclicFixture(t *testing.T) *network.Network {
 
 // TestFaultInjectAcyclicCancelSweep cancels the acyclic analysis at every
 // BFS level and checks the partial verdict: stopped exactly at the
-// injected barrier, state count monotone in the cancellation level, and
+// injected level, state count monotone in the cancellation level, and
 // no decided bound contradicting the uncancelled run.
 func TestFaultInjectAcyclicCancelSweep(t *testing.T) {
 	n := acyclicFixture()
-	full, err := explore.AnalyzeAcyclic(n, 0, explore.Options{Workers: 4})
+	full, err := explore.AnalyzeAcyclic(n, 0, explore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +62,7 @@ func TestFaultInjectAcyclicCancelSweep(t *testing.T) {
 	for lvl := 0; lvl <= full.Stats.Depth+1; lvl++ {
 		res, err := explore.AnalyzeAcyclic(n, 0, faultOpts(faultinject.CancelAt("bfs", lvl)))
 		if err == nil {
-			// The run completed before the injected barrier was polled;
+			// The run completed before the injected level was polled;
 			// the verdict must then be the full one.
 			if res.Su != full.Su || res.Sc != full.Sc {
 				t.Fatalf("level %d: completed run disagrees: got (%v,%v), want (%v,%v)",
@@ -98,12 +97,12 @@ func TestFaultInjectAcyclicCancelSweep(t *testing.T) {
 // TestFaultInjectCyclicCancelSweep is the cancel sweep under the Section
 // 4 semantics, which runs the BFS to completion plus the sequential
 // post-passes. The witness probes are tuned off so the sweep actually
-// reaches the BFS barriers (with probes on, the ring is decided before
-// any barrier and every injected run completes with the full verdict).
+// reaches the BFS levels (with probes on, the ring is decided before
+// any level and every injected run completes with the full verdict).
 func TestFaultInjectCyclicCancelSweep(t *testing.T) {
 	n := cyclicFixture(t)
 	noProbe := explore.Tuning{NoProbe: true}
-	full, err := explore.AnalyzeCyclic(n, 0, explore.Options{Workers: 4, Tune: noProbe})
+	full, err := explore.AnalyzeCyclic(n, 0, explore.Options{Tune: noProbe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +158,7 @@ func TestFaultInjectCyclicPassBoundaries(t *testing.T) {
 		{"sym", explore.Tuning{NoProbe: true}, []string{"sym-adj", "tau-cycle", "handshake-cycle", "canon"}},
 		{"legacy", explore.Tuning{NoProbe: true, NoSymmetry: true}, []string{"tau-cycle", "handshake-cycle"}},
 	} {
-		full, err := explore.AnalyzeCyclic(n, 0, explore.Options{Workers: 4, Tune: tc.tune})
+		full, err := explore.AnalyzeCyclic(n, 0, explore.Options{Tune: tc.tune})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +199,7 @@ func TestFaultInjectCyclicPassBoundaries(t *testing.T) {
 // never contradict the full verdict.
 func TestFaultInjectProbeCancel(t *testing.T) {
 	n := cyclicFixture(t)
-	full, err := explore.AnalyzeCyclic(n, 0, explore.Options{Workers: 4})
+	full, err := explore.AnalyzeCyclic(n, 0, explore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,13 +217,13 @@ func TestFaultInjectProbeCancel(t *testing.T) {
 	}
 }
 
-// TestFaultInjectPanicSweep makes the workers panic at every BFS level;
-// the barrier must recover (no hang, no deadlock), discard the panicked
-// level, and report the same barrier-accurate partial state count a
-// cancellation at that level reports.
+// TestFaultInjectPanicSweep injects a panic at every BFS level; the
+// level must recover it, discard the panicked level, and report the same
+// level-accurate partial state count a cancellation at that level
+// reports.
 func TestFaultInjectPanicSweep(t *testing.T) {
 	n := acyclicFixture()
-	full, err := explore.AnalyzeAcyclic(n, 0, explore.Options{Workers: 4})
+	full, err := explore.AnalyzeAcyclic(n, 0, explore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +231,7 @@ func TestFaultInjectPanicSweep(t *testing.T) {
 		_, cancelErr := explore.AnalyzeAcyclic(n, 0, faultOpts(faultinject.CancelAt("bfs", lvl)))
 		_, panicErr := explore.AnalyzeAcyclic(n, 0, faultOpts(faultinject.PanicAt("bfs", lvl)))
 		if cancelErr == nil {
-			// Past the last polled barrier neither hook fires.
+			// Past the last polled level neither hook fires.
 			if panicErr != nil {
 				t.Fatalf("level %d: cancel completed but panic run failed: %v", lvl, panicErr)
 			}
@@ -270,8 +269,8 @@ func TestFaultInjectDeadline(t *testing.T) {
 	}
 }
 
-// TestFaultInjectCyclicPanic exercises barrier recovery on the cyclic
-// path too (probes off, so the BFS actually runs).
+// TestFaultInjectCyclicPanic exercises panic recovery on the cyclic path
+// too (probes off, so the BFS actually runs).
 func TestFaultInjectCyclicPanic(t *testing.T) {
 	n := cyclicFixture(t)
 	_, err := explore.AnalyzeCyclic(n, 0,
@@ -281,7 +280,7 @@ func TestFaultInjectCyclicPanic(t *testing.T) {
 		t.Fatalf("error %v, want LimitErr wrapping ErrPanic", err)
 	}
 	if le.Partial.Depth != 0 || le.Partial.States != 1 {
-		t.Errorf("partial reports depth=%d states=%d, want the start barrier (depth=0 states=1)",
+		t.Errorf("partial reports depth=%d states=%d, want the start level (depth=0 states=1)",
 			le.Partial.Depth, le.Partial.States)
 	}
 }

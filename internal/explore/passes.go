@@ -12,11 +12,12 @@ import (
 // fault injection can target a specific depth of a pass.
 const pollStride = 1024
 
-// This file holds the sequential passes that run outside the parallel
-// BFS: the acyclicity shape check (which may walk the context product on
-// its own, before the joint exploration) and the two cyclic post-passes
-// over the fully interned reachable joint graph. Successor sets are
-// recomputed on demand via expand — the engine stores no edges.
+// This file holds the passes that run outside the BFS: the acyclicity
+// shape check (which may walk the context product on its own, before the
+// joint exploration, with an Interner of its own) and the two cyclic
+// post-passes over the fully interned reachable joint graph, which look
+// successor ids up in the BFS's Interner. Successor sets are recomputed
+// on demand via expand — the engine stores no edges.
 
 // checkAcyclicShape enforces the Section 3 domain: the distinguished
 // process and its composed context must both be acyclic. The context is
@@ -129,59 +130,53 @@ func (mc *machine) ctxExpandLabeled(vec, scratch []uint32, fn func(succ []uint32
 // pollStride of them.
 func (mc *machine) ctxHasCycle(budget int, g *guard.G) (bool, error) {
 	const gray, black = 1, 2
-	color := make(map[string]uint8)
+	in := mc.newInterner()
+	var color []uint8 // per id
 	scratch := make([]uint32, mc.m)
-	kb := make([]byte, 4*mc.m)
-	succs := func(vec []uint32) []string {
-		var out []string
+	succs := func(vec []uint32) []uint32 { // flat successor vectors
+		var out []uint32
 		mc.ctxExpand(vec, scratch, func(succ []uint32) bool {
-			out = append(out, string(keyBytes(kb, succ)))
+			out = append(out, succ...)
 			return true
 		})
 		return out
 	}
-	unpack := func(key string) []uint32 {
-		vec := make([]uint32, mc.m)
-		for i := range vec {
-			vec[i] = uint32(key[4*i]) | uint32(key[4*i+1])<<8 |
-				uint32(key[4*i+2])<<16 | uint32(key[4*i+3])<<24
-		}
-		return vec
-	}
 	type frame struct {
-		key  string
-		succ []string
-		next int
+		id   int32
+		succ []uint32
+		next int // offset of the next successor in succ
 	}
 	start := mc.startVec()
-	startKey := string(keyBytes(kb, start))
-	color[startKey] = gray
-	stack := []frame{{startKey, succs(start), 0}}
+	in.Intern(start)
+	color = append(color, gray)
+	stack := []frame{{0, succs(start), 0}}
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
 		if f.next >= len(f.succ) {
-			color[f.key] = black
+			color[f.id] = black
 			stack = stack[:len(stack)-1]
 			continue
 		}
-		key := f.succ[f.next]
-		f.next++
-		switch color[key] {
-		case gray:
-			return true, nil
-		case black:
-		default:
-			if len(color) >= budget {
-				return false, fmt.Errorf("explore: shape check: %d context states: %w", len(color), ErrBudget)
+		vec := f.succ[f.next : f.next+mc.m]
+		f.next += mc.m
+		id, fresh := in.Intern(vec)
+		if !fresh {
+			if color[id] == gray {
+				return true, nil
 			}
-			if len(color)%pollStride == 0 {
-				if err := g.Poll("shape", len(color)/pollStride); err != nil {
-					return false, fmt.Errorf("explore: shape check: %w", err)
-				}
-			}
-			color[key] = gray
-			stack = append(stack, frame{key, succs(unpack(key)), 0})
+			continue
 		}
+		seen := len(color)
+		if seen >= budget {
+			return false, fmt.Errorf("explore: shape check: %d context states: %w", seen, ErrBudget)
+		}
+		if seen%pollStride == 0 {
+			if err := g.Poll("shape", seen/pollStride); err != nil {
+				return false, fmt.Errorf("explore: shape check: %w", err)
+			}
+		}
+		color = append(color, gray)
+		stack = append(stack, frame{id, succs(vec), 0})
 	}
 	return false, nil
 }
@@ -193,21 +188,20 @@ func (mc *machine) ctxHasCycle(budget int, g *guard.G) (bool, error) {
 // folded composition it puts the ⊥ leaf below a reachable state, making
 // the pair (p, ⊥) blocking. Call only after a complete BFS. g is polled
 // at the pass boundary and every pollStride colored vectors.
-func (mc *machine) ctxTauCycle(ix *index, g *guard.G) (bool, error) {
+func (mc *machine) ctxTauCycle(in *Interner, g *guard.G) (bool, error) {
 	if err := g.Poll("tau-cycle", 0); err != nil {
 		return false, fmt.Errorf("explore: τ-cycle pass: %w", err)
 	}
 	const gray, black = 1, 2
-	n := ix.size()
+	n := in.Len()
 	color := make([]uint8, n)
 	colored := 0
 	scratch := make([]uint32, mc.m)
-	kb := make([]byte, 4*mc.m)
 	succs := func(gid int) []int {
 		var out []int
-		mc.expand(ix.vec(gid), scratch, func(succ []uint32, kind int) bool {
+		mc.expand(in.Vec(int32(gid)), scratch, func(succ []uint32, kind int) bool {
 			if kind == moveCtxTau || kind == moveCtxHandshake {
-				out = append(out, ix.gid(keyBytes(kb, succ)))
+				out = append(out, int(in.ID(succ)))
 			}
 			return true
 		})
@@ -262,12 +256,12 @@ func (mc *machine) ctxTauCycle(ix *index, g *guard.G) (bool, error) {
 // an iterative Tarjan SCC pass followed by a sweep for a P-handshake edge
 // with both ends in one component. Call only after a complete BFS. g is
 // polled at the pass boundary and every pollStride numbered vectors.
-func (mc *machine) handshakeCycle(ix *index, g *guard.G) (bool, error) {
+func (mc *machine) handshakeCycle(in *Interner, g *guard.G) (bool, error) {
 	if err := g.Poll("handshake-cycle", 0); err != nil {
 		return false, fmt.Errorf("explore: handshake-cycle pass: %w", err)
 	}
 	const undef = -1
-	n := ix.size()
+	n := in.Len()
 	num := make([]int32, n)
 	low := make([]int32, n)
 	comp := make([]int32, n)
@@ -277,11 +271,10 @@ func (mc *machine) handshakeCycle(ix *index, g *guard.G) (bool, error) {
 		comp[i] = undef
 	}
 	scratch := make([]uint32, mc.m)
-	kb := make([]byte, 4*mc.m)
 	succs := func(gid int) []int {
 		var out []int
-		mc.expand(ix.vec(gid), scratch, func(succ []uint32, kind int) bool {
-			out = append(out, ix.gid(keyBytes(kb, succ)))
+		mc.expand(in.Vec(int32(gid)), scratch, func(succ []uint32, kind int) bool {
+			out = append(out, int(in.ID(succ)))
 			return true
 		})
 		return out
@@ -351,8 +344,8 @@ func (mc *machine) handshakeCycle(ix *index, g *guard.G) (bool, error) {
 				return false, fmt.Errorf("explore: handshake-cycle pass: %w", err)
 			}
 		}
-		mc.expand(ix.vec(gid), scratch, func(succ []uint32, kind int) bool {
-			if kind == moveDistHandshake && comp[gid] == comp[ix.gid(keyBytes(kb, succ))] {
+		mc.expand(in.Vec(int32(gid)), scratch, func(succ []uint32, kind int) bool {
+			if kind == moveDistHandshake && comp[gid] == comp[in.ID(succ)] {
 				found = true
 				return false
 			}

@@ -75,55 +75,55 @@ func probePoll(g *guard.G, visited int) error {
 // probeCtxCycle looks for a context-move cycle reachable from the start.
 func (mc *machine) probeCtxCycle(pr *probeResult, g *guard.G) error {
 	const black = -2
-	depth := make(map[string]int32) // packed vec → gray depth, or black
+	in := mc.newInterner()
+	var depth []int32 // per id: gray depth, or black
 	scratch := make([]uint32, mc.m)
-	kb := make([]byte, 4*mc.m)
-	succs := func(vec []uint32) []string {
-		var out []string
+	succs := func(vec []uint32) []uint32 { // flat successor vectors
+		var out []uint32
 		mc.expand(vec, scratch, func(succ []uint32, kind int) bool {
 			if kind == moveCtxTau || kind == moveCtxHandshake {
-				out = append(out, string(keyBytes(kb, succ)))
+				out = append(out, succ...)
 			}
 			return true
 		})
 		return out
 	}
 	type frame struct {
-		key  string
-		succ []string
-		next int
+		id   int32
+		succ []uint32
+		next int // offset of the next successor in succ
 	}
 	start := mc.startVec()
-	startKey := string(keyBytes(kb, start))
-	depth[startKey] = 0
+	in.Intern(start)
+	depth = append(depth, 0)
 	pr.states++
-	stack := []frame{{startKey, succs(start), 0}}
+	stack := []frame{{0, succs(start), 0}}
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
 		if f.next >= len(f.succ) {
-			depth[f.key] = black
+			depth[f.id] = black
 			stack = stack[:len(stack)-1]
 			continue
 		}
-		key := f.succ[f.next]
-		f.next++
-		d, seen := depth[key]
-		switch {
-		case seen && d >= 0:
-			pr.suFalse = true
-			return nil
-		case seen: // black
-		default:
-			if len(depth) >= probeBudget {
-				return nil // budget spent without a witness: undecided
+		vec := f.succ[f.next : f.next+mc.m]
+		f.next += mc.m
+		id, fresh := in.Intern(vec)
+		if !fresh {
+			if depth[id] >= 0 {
+				pr.suFalse = true
+				return nil
 			}
-			pr.states++
-			if err := probePoll(g, len(depth)); err != nil {
-				return err
-			}
-			depth[key] = int32(len(stack))
-			stack = append(stack, frame{key, succs(unpackKey(key, mc.m)), 0})
+			continue
 		}
+		if len(depth) >= probeBudget {
+			return nil // budget spent without a witness: undecided
+		}
+		pr.states++
+		if err := probePoll(g, len(depth)); err != nil {
+			return err
+		}
+		depth = append(depth, int32(len(stack)))
+		stack = append(stack, frame{id, succs(vec), 0})
 	}
 	return nil
 }
@@ -133,25 +133,26 @@ func (mc *machine) probeCtxCycle(pr *probeResult, g *guard.G) error {
 // edge — tracked as the deepest stack frame entered over one (hsDepth).
 func (mc *machine) probeFullCycle(needSu, needSc bool, pr *probeResult, g *guard.G) error {
 	const black = -2
-	depth := make(map[string]int32)
+	in := mc.newInterner()
+	var depth []int32 // per id: gray depth, or black
 	scratch := make([]uint32, mc.m)
-	kb := make([]byte, 4*mc.m)
-	type edge struct {
-		key string
-		hs  bool // the edge is a P-handshake
-	}
-	succs := func(vec []uint32) ([]edge, bool) {
-		var out []edge
+	// succs returns the flat successor vectors of vec, which of those
+	// edges are P-handshakes, and whether vec has any move at all.
+	succs := func(vec []uint32) ([]uint32, []bool, bool) {
+		var out []uint32
+		var hs []bool
 		moved := mc.expand(vec, scratch, func(succ []uint32, kind int) bool {
-			out = append(out, edge{string(keyBytes(kb, succ)), kind == moveDistHandshake})
+			out = append(out, succ...)
+			hs = append(hs, kind == moveDistHandshake)
 			return true
 		})
-		return out, moved
+		return out, hs, moved
 	}
 	type frame struct {
-		key  string
-		succ []edge
-		next int
+		id   int32
+		succ []uint32
+		hs   []bool
+		next int // index of the next successor
 		// hsDepth is the deepest frame index ≤ this one whose incoming
 		// edge is a P-handshake (−1: none on the path). A back-edge from
 		// this frame to gray depth d closes a cycle containing a
@@ -162,72 +163,63 @@ func (mc *machine) probeFullCycle(needSu, needSc bool, pr *probeResult, g *guard
 		return (!needSu || pr.suFalse) && (!needSc || pr.scTrue)
 	}
 	start := mc.startVec()
-	startKey := string(keyBytes(kb, start))
-	depth[startKey] = 0
+	in.Intern(start)
+	depth = append(depth, 0)
 	pr.states++
-	ss, moved := succs(start)
+	ss, hs, moved := succs(start)
 	if !moved {
 		pr.suFalse = true // the start itself is a blocking vector
 		if done() {
 			return nil
 		}
 	}
-	stack := []frame{{key: startKey, succ: ss, hsDepth: -1}}
+	stack := []frame{{id: 0, succ: ss, hs: hs, hsDepth: -1}}
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
-		if f.next >= len(f.succ) {
-			depth[f.key] = black
+		if f.next >= len(f.hs) {
+			depth[f.id] = black
 			stack = stack[:len(stack)-1]
 			continue
 		}
-		e := f.succ[f.next]
+		vec := f.succ[f.next*mc.m : (f.next+1)*mc.m]
+		eHS := f.hs[f.next]
 		f.next++
-		d, seen := depth[e.key]
-		switch {
-		case seen && d >= 0:
-			if e.hs || f.hsDepth > d {
-				pr.scTrue = true
-			} else if mc.m >= 3 {
-				// No P-handshake anywhere on the cycle, and P is τ-free,
-				// so every edge of it is a context move: silent divergence.
-				pr.suFalse = true
-			}
-			if done() {
-				return nil
-			}
-		case seen: // black
-		default:
-			if len(depth) >= probeBudget {
-				return nil
-			}
-			pr.states++
-			if err := probePoll(g, len(depth)); err != nil {
-				return err
-			}
-			hs := f.hsDepth
-			if e.hs {
-				hs = int32(len(stack))
-			}
-			depth[e.key] = int32(len(stack))
-			ss, moved := succs(unpackKey(e.key, mc.m))
-			if !moved {
-				pr.suFalse = true // a blocking vector
+		id, fresh := in.Intern(vec)
+		if !fresh {
+			if d := depth[id]; d >= 0 {
+				if eHS || f.hsDepth > d {
+					pr.scTrue = true
+				} else if mc.m >= 3 {
+					// No P-handshake anywhere on the cycle, and P is τ-free,
+					// so every edge of it is a context move: silent divergence.
+					pr.suFalse = true
+				}
 				if done() {
 					return nil
 				}
 			}
-			stack = append(stack, frame{key: e.key, succ: ss, hsDepth: hs})
+			continue
 		}
+		if len(depth) >= probeBudget {
+			return nil
+		}
+		pr.states++
+		if err := probePoll(g, len(depth)); err != nil {
+			return err
+		}
+		hsd := f.hsDepth
+		if eHS {
+			hsd = int32(len(stack))
+		}
+		depth = append(depth, int32(len(stack)))
+		ss, hs, moved := succs(vec)
+		if !moved {
+			pr.suFalse = true // a blocking vector
+			if done() {
+				return nil
+			}
+		}
+		stack = append(stack, frame{id: id, succ: ss, hs: hs, hsDepth: hsd})
 	}
 	return nil
-}
-
-// unpackKey reverses keyBytes for a packed m-component vector key.
-func unpackKey(key string, m int) []uint32 {
-	vec := make([]uint32, m)
-	for i := range vec {
-		vec[i] = uint32(key[4*i]) | uint32(key[4*i+1])<<8 |
-			uint32(key[4*i+2])<<16 | uint32(key[4*i+3])<<24
-	}
-	return vec
 }

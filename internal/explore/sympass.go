@@ -48,11 +48,11 @@ type symGraph struct {
 // "sym-adj". Successor sets of representatives are enumerated with
 // expandFull and canonicalized with permutation tracking; everything is
 // appended in deterministic order.
-func (mc *machine) buildSymGraph(ix *index, sy *symState, g *guard.G) (*symGraph, error) {
+func (mc *machine) buildSymGraph(in *Interner, sy *symState, g *guard.G) (*symGraph, error) {
 	if err := g.Poll("sym-adj", 0); err != nil {
 		return nil, fmt.Errorf("explore: sym-adj pass: %w", err)
 	}
-	n := ix.size()
+	n := in.Len()
 	sg := &symGraph{off: make([]int32, n+1)}
 	ident := make([]int32, mc.m)
 	for i := range ident {
@@ -64,7 +64,6 @@ func (mc *machine) buildSymGraph(ix *index, sy *symState, g *guard.G) (*symGraph
 	scratch := make([]uint32, mc.m)
 	canon := make([]uint32, mc.m)
 	pi := make([]int32, mc.m)
-	kb := make([]byte, 4*mc.m)
 	for gid := 0; gid < n; gid++ {
 		if gid > 0 && gid%pollStride == 0 {
 			if err := g.Poll("sym-adj", gid/pollStride); err != nil {
@@ -72,9 +71,9 @@ func (mc *machine) buildSymGraph(ix *index, sy *symState, g *guard.G) (*symGraph
 			}
 		}
 		sg.off[gid] = int32(len(sg.to))
-		mc.expandFull(ix.vec(gid), scratch, func(succ []uint32, kind int, pa, pb int32) bool {
+		mc.expandFull(in.Vec(int32(gid)), scratch, func(succ []uint32, kind int, pa, pb int32) bool {
 			cz.CanonPerm(succ, canon, pi)
-			sg.to = append(sg.to, int32(ix.gid(keyBytes(kb, canon))))
+			sg.to = append(sg.to, in.ID(canon))
 			pk := permKey(pi)
 			id, ok := permIDs[pk]
 			if !ok {
@@ -282,20 +281,20 @@ func (mc *machine) handshakeCycleSym(sg *symGraph, sy *symState, g *guard.G) (bo
 // size minus one, a lower bound computed from single element
 // applications (exact whenever the discovered element set is the whole
 // group, as on the bundled ring and clique families).
-func (mc *machine) symStatesPass(ix *index, sy *symState, g *guard.G) (int64, error) {
+func (mc *machine) symStatesPass(in *Interner, sy *symState, g *guard.G) (int64, error) {
 	if err := g.Poll("canon", 0); err != nil {
 		return 0, fmt.Errorf("explore: canon pass: %w", err)
 	}
 	cz := sy.grp.NewCanonizer()
 	var total int64
-	n := ix.size()
+	n := in.Len()
 	for gid := 0; gid < n; gid++ {
 		if gid > 0 && gid%pollStride == 0 {
 			if err := g.Poll("canon", gid/pollStride); err != nil {
 				return total, fmt.Errorf("explore: canon pass: %w", err)
 			}
 		}
-		total += int64(cz.OrbitSize(ix.vec(gid)) - 1)
+		total += int64(cz.OrbitSize(in.Vec(int32(gid))) - 1)
 	}
 	return total, nil
 }

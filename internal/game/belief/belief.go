@@ -6,9 +6,9 @@
 // — the remaining m−1 components — and the game's belief sets range over
 // the states Q could have reached on the observed action trail. The
 // package therefore enumerates the reachable context vectors on the fly
-// (reusing internal/explore's action-owner index and sharded interner,
-// so memory is proportional to the reachable context space, never to the
-// intermediate products a ‖ fold builds), assigns them dense ids, and
+// (reusing internal/explore's action-owner index and its sequential
+// dense-id Interner, so memory is proportional to the reachable context
+// space, never to the intermediate products a ‖ fold builds), and
 // represents each belief as a word-packed []uint64 bitset over those
 // ids. Beliefs are interned in an FNV-sharded arena whose equality is a
 // memcmp of the packed words, and each (belief, action) step — one
@@ -260,7 +260,7 @@ type solver struct {
 	stats  Stats
 
 	startGid int32
-	pacts    [][]int32          // per P state: sorted unique action ids
+	pacts    [][]int32           // per P state: sorted unique action ids
 	pvis     [][]explore.VisMove // per P state: moves sorted by (aid, to)
 
 	memo *stepTable // (belief, action) → stepped belief (−1: no offer)

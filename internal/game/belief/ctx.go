@@ -1,7 +1,6 @@
 package belief
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"fspnet/internal/explore"
@@ -43,72 +42,6 @@ func (cg *ctxGraph) size() int {
 // words returns the belief-bitset width in 64-bit words.
 func (cg *ctxGraph) words() int { return (cg.size() + 63) / 64 }
 
-// ctxInterner is the context walk's private visited set. Unlike the
-// sharded explore interner it is strictly sequential, so it needs no
-// hashing of its own (the map's built-in string hash does the work), it
-// assigns dense ids in discovery order — the BFS expands states in
-// exactly id order, so recorded edges never need an id remap — and it
-// keys on the narrowest per-component packing that distinguishes every
-// joint vector (one byte per process when all state counts fit, the
-// common case) instead of the fixed 4 bytes.
-type ctxInterner struct {
-	m     int
-	width int // key bytes per component: 1, 2, or 4
-	ids   map[string]int32
-	vecs  []uint32 // flat arena, id i at [i*m, (i+1)*m)
-}
-
-func newCtxInterner(M *explore.Machine) *ctxInterner {
-	m := M.NumProcs()
-	width := 1
-	for i := 0; i < m; i++ {
-		switch ns := M.NumProcStates(i); {
-		case ns > 1<<16:
-			width = 4
-		case ns > 1<<8 && width < 2:
-			width = 2
-		}
-	}
-	return &ctxInterner{m: m, width: width, ids: make(map[string]int32)}
-}
-
-// pack writes vec's key image into kb (len width·m) and returns it.
-func (ci *ctxInterner) pack(kb []byte, vec []uint32) []byte {
-	switch ci.width {
-	case 1:
-		for i, v := range vec {
-			kb[i] = byte(v)
-		}
-	case 2:
-		for i, v := range vec {
-			binary.LittleEndian.PutUint16(kb[i*2:], uint16(v))
-		}
-	default:
-		for i, v := range vec {
-			binary.LittleEndian.PutUint32(kb[i*4:], v)
-		}
-	}
-	return kb
-}
-
-// intern records vec (with key kb) if unseen and returns its dense id
-// and whether it was fresh.
-func (ci *ctxInterner) intern(kb []byte, vec []uint32) (int32, bool) {
-	if id, ok := ci.ids[string(kb)]; ok {
-		return id, false
-	}
-	id := int32(len(ci.vecs) / ci.m)
-	ci.ids[string(kb)] = id
-	ci.vecs = append(ci.vecs, vec...)
-	return id, true
-}
-
-// vec returns the joint vector of id. The slice aliases the arena (its
-// contents are immutable, so it stays valid across later interns).
-func (ci *ctxInterner) vec(id int32) []uint32 {
-	return ci.vecs[int(id)*ci.m : (int(id)+1)*ci.m]
-}
-
 // buildCtx runs the context passes: "ctx-bfs" enumerates the reachable
 // context vectors while recording every move it sees, "ctx-adj" lays
 // the recorded edges out as the dense adjacency, and — under the cyclic
@@ -118,16 +51,16 @@ func (ci *ctxInterner) vec(id int32) []uint32 {
 // (always 0: the start is interned first).
 //
 // Recording edges during the BFS is the engine's hot-path optimization:
-// the former adjacency pass re-enumerated CtxMoves for every state and
-// re-hashed every successor key through the sharded index, roughly
-// doubling context-build time — which dominates ring-shaped instances
-// whose game proper is tiny. With discovery-order ids the recorded
-// edges are already dense, so the adjacency build is hash-free.
+// re-enumerating CtxMoves for every state and re-hashing every successor
+// in a separate adjacency pass roughly doubles context-build time —
+// which dominates ring-shaped instances whose game proper is tiny. The
+// walk interns through explore's Interner, whose ids are dense in
+// discovery order, so the recorded edges are already dense and the
+// adjacency build is hash-free.
 func (sv *solver) buildCtx(cyclic bool) (*ctxGraph, int32, error) {
 	M := sv.M
 	m := M.NumProcs()
-	ci := newCtxInterner(M)
-	kb := make([]byte, ci.width*m)
+	ci := explore.NewInterner(M)
 	scratch := make([]uint32, m)
 	// With a nontrivial dist-stabilizer subgroup the BFS interns orbit
 	// representatives instead of raw vectors. Every element of the
@@ -151,7 +84,7 @@ func (sv *solver) buildCtx(cyclic bool) (*ctxGraph, int32, error) {
 		cz.Canon(start, canon)
 		start = canon
 	}
-	ci.intern(ci.pack(kb, start), start)
+	ci.Intern(start)
 	sv.stats.CtxStates = 1
 	// One edge run per expanded state — states are expanded in id order,
 	// so degs[s] moves of state s sit flat in tos/aids after those of
@@ -176,14 +109,14 @@ func (sv *solver) buildCtx(cyclic bool) (*ctxGraph, int32, error) {
 		fresh := 0
 		for _, src := range frontier {
 			deg := int32(0)
-			M.CtxMoves(ci.vec(src), scratch, func(succ []uint32, aid int32) bool {
+			M.CtxMoves(ci.Vec(src), scratch, func(succ []uint32, aid int32) bool {
 				if cz != nil {
 					if cz.Canon(succ, canon) {
 						sv.stats.SymHits++
 					}
 					succ = canon
 				}
-				id, isFresh := ci.intern(ci.pack(kb, succ), succ)
+				id, isFresh := ci.Intern(succ)
 				if isFresh {
 					fresh++
 					next = append(next, id)

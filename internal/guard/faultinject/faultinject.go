@@ -1,12 +1,12 @@
 // Package faultinject provides test-only guard.Hook implementations that
 // force an analysis to fail at a chosen BFS level or pass boundary:
-// cancellation, deadline expiry, or a synthetic worker panic. The -race
-// sweep tests use them to prove the engine always returns a well-formed
-// *guard.LimitErr — never a hang, a deadlocked barrier, or a verdict the
+// cancellation, deadline expiry, or a synthetic panic. The -race sweep
+// tests use them to prove the engine always returns a well-formed
+// *guard.LimitErr — never a hang, an unrecovered panic, or a verdict the
 // uncancelled run contradicts.
 //
-// Hooks are immutable and therefore trivially safe for the concurrent
-// Panic consultations the BFS workers perform.
+// Hooks are immutable and therefore trivially safe for concurrent use
+// by the solvers' parallel sweeps.
 package faultinject
 
 import (
@@ -35,8 +35,8 @@ func DeadlineAt(pass string, level int) guard.Hook {
 	return &hook{pass: pass, level: level, reason: guard.ErrDeadline}
 }
 
-// PanicAt returns a hook that makes every worker polling at (pass, level)
-// panic, exercising the barrier's recovery path.
+// PanicAt returns a hook that makes the solver polling at (pass, level)
+// panic, exercising its recovery path.
 func PanicAt(pass string, level int) guard.Hook {
 	return &hook{pass: pass, level: level, panics: true}
 }

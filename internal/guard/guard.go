@@ -22,7 +22,7 @@
 // proved.
 //
 // The Hook seam exists for package guard/faultinject, which injects
-// cancellation, deadline expiry, or synthetic worker panics at chosen
+// cancellation, deadline expiry, or synthetic panics at chosen
 // BFS levels and pass boundaries; production code leaves it nil.
 package guard
 
@@ -46,7 +46,7 @@ var (
 	ErrCanceled = errors.New("guard: analysis canceled")
 	// ErrDeadline reports an expired wall-clock or context deadline.
 	ErrDeadline = errors.New("guard: deadline exceeded")
-	// ErrPanic reports a worker panic recovered at a level barrier.
+	// ErrPanic reports a panic inside a BFS level, recovered by the engine.
 	ErrPanic = errors.New("guard: worker panicked")
 )
 
@@ -64,8 +64,8 @@ type Hook interface {
 	// Fire returns a non-nil reason (wrapping ErrCanceled or ErrDeadline)
 	// to make the poll at (pass, level) report exhaustion.
 	Fire(pass string, level int) error
-	// Panic reports whether a worker polling at (pass, level) should
-	// panic, exercising the barrier's recovery path.
+	// Panic reports whether the solver polling at (pass, level) should
+	// panic, exercising its recovery path.
 	Panic(pass string, level int) bool
 }
 
@@ -154,7 +154,7 @@ func (g *G) Used() int {
 	return int(g.used.Load())
 }
 
-// ShouldPanic reports whether the fault-injection hook wants a worker
+// ShouldPanic reports whether the fault-injection hook wants the solver
 // polling at (pass, level) to panic. Always false without a hook.
 func (g *G) ShouldPanic(pass string, level int) bool {
 	return g != nil && g.hook != nil && g.hook.Panic(pass, level)

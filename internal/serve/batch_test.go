@@ -325,11 +325,13 @@ func TestVerdictReadThroughAfterEviction(t *testing.T) {
 }
 
 // TestBatchClientGone: a batch whose client disconnects mid-run must
-// not leak goroutines or write to a dead connection; the work itself
-// completes and lands in the cache.
+// not leak goroutines or write to a dead connection. Under single-flight
+// the disconnect drops the run's last waiter, so the run is canceled at
+// its next poll: nothing is cached, and the next request for the same
+// network is a fresh miss that answers the correct verdict.
 func TestBatchClientGone(t *testing.T) {
 	h := newBlockHook()
-	_, ts := newTestServer(t, Config{Workers: 1, Hook: h})
+	s, ts := newTestServer(t, Config{Workers: 1, Hook: h})
 
 	body, _ := json.Marshal(BatchRequest{Items: []AnalyzeRequest{{Network: netN(60)}}})
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/analyze/batch", bytes.NewReader(body))
@@ -340,12 +342,40 @@ func TestBatchClientGone(t *testing.T) {
 	if _, err := client.Do(req); err == nil {
 		t.Fatal("batch returned before release, want client timeout")
 	}
+	// Release the parked run only once the server has seen the disconnect
+	// and dropped the flight's last waiter; releasing earlier races the
+	// run's completion against the cancellation.
+	abandoned := func() bool {
+		s.flightMu.Lock()
+		defer s.flightMu.Unlock()
+		for _, f := range s.flights {
+			if f.waiters == 0 {
+				return true
+			}
+		}
+		return false
+	}
+	for i := 0; !abandoned(); i++ {
+		if i == 500 {
+			t.Fatal("server never dropped the disconnected batch's waiter")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 	close(h.release)
 
-	// The abandoned run still finishes and populates the cache: the next
-	// request for the same network is a hit.
-	waitStats(t, ts.URL, func(st Stats) bool { return st.Misses == 1 })
-	if _, ar := postJSON(t, ts.URL, AnalyzeRequest{Network: netN(60)}); !ar.Cached {
-		t.Error("verdict of abandoned batch not cached")
+	st := waitStats(t, ts.URL, func(st Stats) bool { return st.Canceled == 1 })
+	if st.Misses != 0 || st.CacheEntries != 0 {
+		t.Errorf("canceled batch run must not populate the cache: %+v", st)
+	}
+	_, ar := postJSON(t, ts.URL, AnalyzeRequest{Network: netN(60)})
+	if ar.Cached {
+		t.Error("request after the canceled batch was a cache hit, want a miss")
+	}
+	_, ref := newTestServer(t, Config{Workers: 1})
+	_, want := postJSON(t, ref.URL, AnalyzeRequest{Network: netN(60)})
+	got, _ := json.Marshal(ar.Record)
+	exp, _ := json.Marshal(want.Record)
+	if want.Record.Status != "ok" || !bytes.Equal(got, exp) {
+		t.Errorf("verdict after the canceled batch = %s, want %s", got, exp)
 	}
 }

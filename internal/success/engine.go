@@ -31,10 +31,9 @@ const (
 // Options configure the network-level analyses.
 type Options struct {
 	Backend   Backend
-	Workers   int // explore frontier parallelism (≤ 0: GOMAXPROCS); verdicts never depend on it
 	MaxStates int // explore joint-state budget (≤ 0: explore.DefaultMaxStates)
 	// Guard, when non-nil, governs the analysis end to end: the explore
-	// engine polls it at BFS level barriers, the S_a game every stride of
+	// engine polls it at the head of every BFS level, the S_a game every stride of
 	// positions, and the compose backend at stage boundaries. Exhaustion
 	// surfaces as a *guard.LimitErr whose partial verdict carries any
 	// predicate already decided.
@@ -56,7 +55,7 @@ type Options struct {
 }
 
 func engineOpts(o Options) explore.Options {
-	return explore.Options{Workers: o.Workers, MaxStates: o.MaxStates, Guard: o.Guard,
+	return explore.Options{MaxStates: o.MaxStates, Guard: o.Guard,
 		Tune: explore.Tuning{NoSymmetry: o.NoSymmetry, NoProbe: o.NoSymmetry}}
 }
 

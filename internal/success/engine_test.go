@@ -23,7 +23,7 @@ func TestBackendsAgreeAcyclic(t *testing.T) {
 		}
 		n := fsptest.TreeNetwork(r, cfg)
 		for i := 0; i < n.Len(); i++ {
-			ve, errE := AnalyzeAcyclicOpts(n, i, Options{Backend: BackendExplore, Workers: 1 + iter%3})
+			ve, errE := AnalyzeAcyclicOpts(n, i, Options{Backend: BackendExplore})
 			vc, errC := AnalyzeAcyclicOpts(n, i, Options{Backend: BackendCompose})
 			// A distinguished process with τ-moves fails the S_a game's
 			// Figure 4 assumption on both backends alike.
@@ -55,7 +55,7 @@ func TestBackendsAgreeCyclic(t *testing.T) {
 		}
 		n := fsptest.TreeNetwork(r, cfg)
 		for i := 0; i < n.Len(); i++ {
-			ve, errE := AnalyzeCyclicOpts(n, i, Options{Backend: BackendExplore, Workers: 1 + iter%3})
+			ve, errE := AnalyzeCyclicOpts(n, i, Options{Backend: BackendExplore})
 			vc, errC := AnalyzeCyclicOpts(n, i, Options{Backend: BackendCompose})
 			if (errE == nil) != (errC == nil) {
 				t.Fatalf("iter %d dist %d: explore err=%v compose err=%v", iter, i, errE, errC)

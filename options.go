@@ -11,7 +11,7 @@ import (
 // Options govern a reference analysis end to end. The zero value means
 // ungoverned: no cancellation, no deadline, no joint budget, default
 // parallelism. When any of Context, Deadline, or Budget is set, the run
-// is checked at every BFS level barrier, game stride, and pass boundary;
+// is checked at every BFS level, game stride, and pass boundary;
 // exhaustion surfaces as a *LimitErr whose Partial verdict reports how
 // far the run got and any predicate it had already decided.
 type Options struct {
@@ -22,9 +22,6 @@ type Options struct {
 	// Budget bounds the joint states/steps interned across every pass of
 	// the analysis; 0 or negative means unlimited.
 	Budget int
-	// Workers bounds the explore engine's frontier parallelism (≤ 0:
-	// GOMAXPROCS). Verdicts never depend on it.
-	Workers int
 	// MaxStates is the explore engine's own joint-state budget (≤ 0:
 	// the engine default).
 	MaxStates int
@@ -50,7 +47,7 @@ var (
 	ErrCanceled = guard.ErrCanceled
 	// ErrDeadline reports an expired deadline.
 	ErrDeadline = guard.ErrDeadline
-	// ErrPanic reports a worker panic recovered at a level barrier.
+	// ErrPanic reports a panic inside a BFS level, recovered by the engine.
 	ErrPanic = guard.ErrPanic
 )
 
@@ -65,7 +62,7 @@ const (
 // options, building a governor only when one of the governing fields is
 // set.
 func (o Options) successOptions() success.Options {
-	s := success.Options{Workers: o.Workers, MaxStates: o.MaxStates}
+	s := success.Options{MaxStates: o.MaxStates}
 	if o.Context != nil || !o.Deadline.IsZero() || o.Budget > 0 {
 		s.Guard = guard.New(guard.Config{Context: o.Context, Deadline: o.Deadline, Budget: o.Budget})
 	}
