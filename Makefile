@@ -72,11 +72,13 @@ cluster-test:
 
 # test-sym runs the symmetry-reduction suites under the race detector:
 # the symred group machinery, the explore/belief differential and
-# determinism tests, the cross-engine differential fuzz seed corpus, and
-# the fspd philosophers20 end-to-end check. See docs/PERF.md.
+# determinism tests, the explore and belief golden stats suites, the
+# cross-engine differential fuzz seed corpus, and the fspd
+# philosophers20 end-to-end check. See docs/PERF.md.
 test-sym:
 	$(GO) test -race -timeout 5m ./internal/symred
 	$(GO) test -race -timeout 5m -run 'Sym|Orbit|Probe' ./internal/explore ./internal/game/belief
+	$(GO) test -race -timeout 5m -run Golden ./internal/explore ./internal/game/belief
 	$(GO) test -race -timeout 5m -run FuzzDifferentialSymmetry ./internal/bench
 	$(GO) test -race -timeout 5m -run 'Philosophers20|SingleFlight' ./internal/serve
 

@@ -14,7 +14,8 @@ import (
 // E12 races the compose-free bitset belief engine (internal/game/belief)
 // against the compose-then-recurse S_a reference on the E11 families:
 // acyclic random trees and the cyclic dining-philosophers ring. The
-// belief engine enumerates only the reachable context vectors, so it
+// belief engine enumerates only the context vectors jointly reachable
+// with P, so it
 // keeps deciding S_a at sizes where the reference's context fold exceeds
 // its state budget — the same cliff E11 shows for S_u/S_c.
 //

@@ -205,6 +205,24 @@ func TestRouterShardsByDigest(t *testing.T) {
 	rt, ts := newTestRouter(t, []string{w0.url(), w1.url()}, nil)
 
 	nets := []string{netA, netB, netC, netN(1), netN(2), netN(3)}
+	// The ring hashes the workers' random ports, so a fixed handful of
+	// digests can all land on one worker: add networks until both own one.
+	owners := map[int]bool{}
+	ownerOf := func(n string) int {
+		owner, err := rt.Cluster().Ring().Owner(digestOf(t, serve.AnalyzeRequest{Network: n}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return owner
+	}
+	for _, n := range nets {
+		owners[ownerOf(n)] = true
+	}
+	for k := 4; len(owners) < 2 && len(nets) < 64; k++ {
+		n := netN(k)
+		owners[ownerOf(n)] = true
+		nets = append(nets, n)
+	}
 	for _, n := range nets {
 		resp, ar := postJSON(t, ts.URL, serve.AnalyzeRequest{Network: n})
 		if resp.StatusCode != http.StatusOK {

@@ -4,15 +4,19 @@
 //
 // The context a distinguished process plays against is itself a network
 // — the remaining m−1 components — and the game's belief sets range over
-// the states Q could have reached on the observed action trail. The
-// package therefore enumerates the reachable context vectors on the fly
+// the states Q could have reached on the trail P has observed. A context
+// state can therefore enter a belief only if it is jointly reachable
+// with some P-state, and the package enumerates exactly those vectors
+// on the fly: a BFS over (P-state, context vector) pairs that follows a
+// context move on a P-shared action only along P's own moves on it
 // (reusing internal/explore's action-owner index and its sequential
-// dense-id Interner, so memory is proportional to the reachable context
-// space, never to the intermediate products a ‖ fold builds), and
-// represents each belief as a word-packed []uint64 bitset over those
-// ids. Beliefs are interned in an FNV-sharded arena whose equality is a
-// memcmp of the packed words, and each (belief, action) step — one
-// visible move followed by τ-closure — is computed once and memoized.
+// dense-id Interner, so memory is proportional to the context P can
+// observe, never to Q's whole reachable space or to the intermediate
+// products a ‖ fold builds). Each belief is a word-packed []uint64
+// bitset over those ids. Beliefs are interned in an FNV-sharded arena
+// whose equality is a memcmp of the packed words, and each (belief,
+// action) step — one visible move followed by τ-closure — is computed
+// once and memoized.
 //
 // The acyclic game is evaluated by an iterative worklist (an explicit
 // DFS stack over the position DAG; P is acyclic, so positions cannot
@@ -281,23 +285,16 @@ type solver struct {
 	acFeeds int
 }
 
-// newSolver enumerates the context graph and prepares the P tables. A
-// partially initialized solver (with barrier-accurate stats) is returned
-// even on error so callers can report them.
+// newSolver prepares the P tables and enumerates the context graph in
+// lockstep with them. A partially initialized solver (with
+// barrier-accurate stats) is returned even on error so callers can
+// report them.
 func newSolver(M *explore.Machine, cyclic bool, o game.Options, t Tuning, grp *symred.Group) (*solver, error) {
 	sv := &solver{M: M, g: o.Guard, budget: budget(o), tune: t, memo: newStepTable(), grp: grp}
 	sv.stats.GroupOrder = 1
 	if grp != nil {
 		sv.stats.GroupOrder = grp.Order()
 	}
-	cg, startGid, err := sv.buildCtx(cyclic)
-	if err != nil {
-		return sv, err
-	}
-	sv.cg = cg
-	sv.startGid = startGid
-	sv.ar = newArena(cg.words())
-	sv.sc = newScratch(cg.words())
 	np := M.NumDistStates()
 	sv.pvis = make([][]explore.VisMove, np)
 	sv.pacts = make([][]int32, np)
@@ -312,6 +309,14 @@ func newSolver(M *explore.Machine, cyclic bool, o game.Options, t Tuning, grp *s
 		}
 		sv.pacts[s] = acts
 	}
+	cg, startGid, err := sv.buildCtx(cyclic)
+	if err != nil {
+		return sv, err
+	}
+	sv.cg = cg
+	sv.startGid = startGid
+	sv.ar = newArena(cg.words())
+	sv.sc = newScratch(cg.words())
 	if !t.NoAntichain {
 		sv.winAC = newAntichains(np, cg.words())
 		sv.loseAC = newAntichains(np, cg.words())
@@ -393,7 +398,7 @@ func (sv *solver) chargePos() error {
 }
 
 // succRange returns the index range of P's moves on aid at state p, as
-// [lo, hi) into pvis[p]. The range is never empty for aid ∈ pacts[p].
+// [lo, hi) into pvis[p]. The range is empty exactly when aid ∉ pacts[p].
 func (sv *solver) succRange(p uint32, aid int32) (int, int) {
 	mv := sv.pvis[p]
 	lo := 0

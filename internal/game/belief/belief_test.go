@@ -147,6 +147,33 @@ func TestDeterministicStats(t *testing.T) {
 	}
 }
 
+// TestCtxWalkSkipsUnsyncedBranch builds a context whose start offers b,
+// an action P owns but performs only after a — and a moves the context
+// past its b-branch. No joint run reaches q2, so the context walk must
+// not intern it: only q0 and q1 are built.
+func TestCtxWalkSkipsUnsyncedBranch(t *testing.T) {
+	bp := fsp.NewBuilder("P")
+	p0, p1, p2 := bp.State("p0"), bp.State("p1"), bp.State("p2")
+	bp.Add(p0, "a", p1)
+	bp.Add(p1, "b", p2)
+	bq := fsp.NewBuilder("Q")
+	q0, q1, q2 := bq.State("q0"), bq.State("q1"), bq.State("q2")
+	bq.Add(q0, "a", q1)
+	bq.Add(q0, "b", q2)
+	n, err := network.New(bp.MustBuild(), bq.MustBuild())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstLegacy(t, n, false, "unsynced branch")
+	_, st, err := belief.SolveAcyclicTuned(n, 0, game.Options{}, oracle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CtxStates != 2 {
+		t.Fatalf("CtxStates = %d, want 2 (q0, q1): the unsynchronizable b-branch was interned", st.CtxStates)
+	}
+}
+
 // TestBudgetExhaustion forces the position budget and requires a
 // well-formed partial verdict naming a belief-engine pass.
 func TestBudgetExhaustion(t *testing.T) {

@@ -15,19 +15,19 @@ type visMove struct {
 	to  int32
 }
 
-// ctxGraph is the enumerated reachable context: exactly the transition
-// system of the composed context Q, with states as dense ids over the
-// interned reachable vectors. tau holds Q's τ-moves (member τ and
-// context-internal handshakes), vis its visible moves (solo firings of
-// P-shared actions). Under the cyclic semantics a synthetic divergence
-// leaf ⊥ (id bot) is appended, with a τ-edge from every state that can
-// reach a context-τ cycle via context-τ moves.
+// ctxGraph is the part of the composed context Q that P can observe:
+// the context states jointly reachable with some P-state, as dense ids
+// over their interned vectors. tau holds their τ-moves (member τ and
+// context-internal handshakes), vis their moves on P-shared actions that
+// some P-state paired with them can follow. Under the cyclic semantics a
+// synthetic divergence leaf ⊥ (id bot) is appended, with a τ-edge from
+// every state that can reach a context-τ cycle via context-τ moves.
 type ctxGraph struct {
-	n      int // reachable context vectors, excluding ⊥
+	n      int // context vectors, excluding ⊥
 	bot    int32
 	tau    [][]int32
 	vis    [][]visMove // sorted by (aid, to)
-	offers [][]int32   // sorted unique aids offered, per state
+	offers [][]int32   // sorted unique aids of vis, per state
 	stable []bool      // no τ-move (before the ⊥ edge; divergent states are never stable)
 }
 
@@ -42,21 +42,30 @@ func (cg *ctxGraph) size() int {
 // words returns the belief-bitset width in 64-bit words.
 func (cg *ctxGraph) words() int { return (cg.size() + 63) / 64 }
 
-// buildCtx runs the context passes: "ctx-bfs" enumerates the reachable
-// context vectors while recording every move it sees, "ctx-adj" lays
+// buildCtx runs the context passes: "ctx-bfs" walks the context in
+// lockstep with P while recording every move it keeps, "ctx-adj" lays
 // the recorded edges out as the dense adjacency, and — under the cyclic
 // semantics, when the context has at least two members — "ctx-scc"
 // finds the silently divergent states and appends the synthetic ⊥.
 // Returns the graph and the dense id of the context start vector
 // (always 0: the start is interned first).
 //
-// Recording edges during the BFS is the engine's hot-path optimization:
-// re-enumerating CtxMoves for every state and re-hashing every successor
-// in a separate adjacency pass roughly doubles context-build time —
-// which dominates ring-shaped instances whose game proper is tiny. The
-// walk interns through explore's Interner, whose ids are dense in
-// discovery order, so the recorded edges are already dense and the
-// adjacency build is hash-free.
+// The walk visits (P-state, context id) pairs. A belief of position
+// (p, B) holds only context states q with (p, q) jointly reachable, so
+// no other context state can ever enter a belief. A context τ-move keeps
+// p; a move on a P-shared action a is followed along each of P's own
+// a-moves p → p′, and a move p cannot follow is dropped before it is
+// canonicalized or interned. Each context id carries a bitmask of the
+// P-states it has been paired with, so every pair expands once. The
+// kept states are closed under context τ, and a state paired with p has
+// all its moves on p's actions recorded — all that step and blocked
+// read of it — so every belief is the same set of vectors it would be
+// over Q's whole reachable space, under other ids.
+//
+// Recording edges during the walk keeps it the only pass that
+// enumerates CtxMoves and hashes successors. The walk interns through
+// explore's Interner, whose ids are dense in discovery order, so the
+// recorded edges are already dense and the adjacency build is hash-free.
 func (sv *solver) buildCtx(cyclic bool) (*ctxGraph, int32, error) {
 	M := sv.M
 	m := M.NumProcs()
@@ -86,17 +95,28 @@ func (sv *solver) buildCtx(cyclic bool) (*ctxGraph, int32, error) {
 	}
 	ci.Intern(start)
 	sv.stats.CtxStates = 1
-	// One edge run per expanded state — states are expanded in id order,
-	// so degs[s] moves of state s sit flat in tos/aids after those of
-	// s-1 (aid −1 = context-τ).
-	var (
-		degs []int32
-		tos  []int32
-		aids []int32
-	)
-	frontier := []int32{0}
-	depth := 0
-	for len(frontier) > 0 {
+	// seen[c*pw:(c+1)*pw] is the bitmask of P-states paired with context
+	// id c so far; a pair enters the next frontier when its bit is set.
+	pw := (M.NumDistStates() + 63) / 64
+	zero := make([]uint64, pw)
+	seen := make([]uint64, pw)
+	type pair struct {
+		p uint32
+		c int32
+	}
+	var frontier, next []pair
+	visit := func(p uint32, c int32) {
+		w, bit := int(c)*pw+int(p>>6), uint64(1)<<(p&63)
+		if seen[w]&bit == 0 {
+			seen[w] |= bit
+			next = append(next, pair{p: p, c: c})
+		}
+	}
+	visit(M.DistStart(), 0)
+	// Every kept move as a (src, to, aid) triple, aid −1 for context-τ;
+	// buildAdj groups them by src.
+	var srcs, tos, aids []int32
+	for depth := 0; len(next) > 0; depth++ {
 		if err := sv.g.Poll("ctx-bfs", depth); err != nil {
 			return nil, 0, sv.limit(fmt.Errorf("belief: context BFS stopped at level %d: %w", depth, err),
 				"ctx-bfs", sv.stats.CtxStates)
@@ -105,11 +125,18 @@ func (sv *solver) buildCtx(cyclic bool) (*ctxGraph, int32, error) {
 			return nil, 0, sv.limit(fmt.Errorf("belief: %d context states: %w", sv.stats.CtxStates, game.ErrBudget),
 				"ctx-bfs", sv.stats.CtxStates)
 		}
-		var next []int32
+		frontier, next = next, frontier[:0]
 		fresh := 0
-		for _, src := range frontier {
-			deg := int32(0)
-			M.CtxMoves(ci.Vec(src), scratch, func(succ []uint32, aid int32) bool {
+		for _, pc := range frontier {
+			M.CtxMoves(ci.Vec(pc.c), scratch, func(succ []uint32, aid int32) bool {
+				var follow []explore.VisMove // P's aid-moves from pc.p; none for τ
+				if aid >= 0 {
+					lo, hi := sv.succRange(pc.p, aid)
+					if lo == hi {
+						return true // P cannot take part: no joint run makes this move
+					}
+					follow = sv.pvis[pc.p][lo:hi]
+				}
 				if cz != nil {
 					if cz.Canon(succ, canon) {
 						sv.stats.SymHits++
@@ -119,25 +146,28 @@ func (sv *solver) buildCtx(cyclic bool) (*ctxGraph, int32, error) {
 				id, isFresh := ci.Intern(succ)
 				if isFresh {
 					fresh++
-					next = append(next, id)
+					seen = append(seen, zero...)
 				}
+				srcs = append(srcs, pc.c)
 				tos = append(tos, id)
 				aids = append(aids, aid)
-				deg++
+				if aid < 0 {
+					visit(pc.p, id)
+				}
+				for _, t := range follow {
+					visit(t.To, id)
+				}
 				return true
 			})
-			degs = append(degs, deg)
 		}
 		sv.stats.CtxStates += fresh
-		frontier = next
-		depth++
 		if err := sv.g.Charge(fresh); err != nil {
 			return nil, 0, sv.limit(fmt.Errorf("belief: %d context states: %w", sv.stats.CtxStates, err),
 				"ctx-bfs", sv.stats.CtxStates)
 		}
 	}
-	cg := &ctxGraph{n: len(degs), bot: -1}
-	if err := sv.buildAdj(cg, degs, tos, aids); err != nil {
+	cg := &ctxGraph{n: ci.Len(), bot: -1}
+	if err := sv.buildAdj(cg, srcs, tos, aids); err != nil {
 		return nil, 0, err
 	}
 	// The divergence rule applies only when the context actually composes
@@ -150,50 +180,45 @@ func (sv *solver) buildCtx(cyclic bool) (*ctxGraph, int32, error) {
 	return cg, 0, nil
 }
 
-// buildAdj is the "ctx-adj" pass: it lays the per-state τ / visible
-// adjacency out in two flat arrays from the BFS's recorded edge runs,
-// then sorts, deduplicates, and derives offers/stable per state.
-func (sv *solver) buildAdj(cg *ctxGraph, degs, tos, aids []int32) error {
+// buildAdj is the "ctx-adj" pass: it counting-sorts the walk's recorded
+// (src, to, aid) edges by src into flat τ and visible arrays, then
+// sorts and deduplicates each state's run — a state paired with several
+// P-states was expanded once per pairing — and derives offers and
+// stability per state. Every per-state slice is a three-index subslice
+// of one flat array, so no state costs an allocation of its own.
+func (sv *solver) buildAdj(cg *ctxGraph, srcs, tos, aids []int32) error {
 	n := cg.n
+	tauOff := make([]int32, n+1)
+	visOff := make([]int32, n+1)
+	for k, s := range srcs {
+		if aids[k] < 0 {
+			tauOff[s+1]++
+		} else {
+			visOff[s+1]++
+		}
+	}
+	for s := 0; s < n; s++ {
+		tauOff[s+1] += tauOff[s]
+		visOff[s+1] += visOff[s]
+	}
+	tauFlat := make([]int32, tauOff[n])
+	visFlat := make([]visMove, visOff[n])
+	tauPos := append([]int32(nil), tauOff[:n]...)
+	visPos := append([]int32(nil), visOff[:n]...)
+	for k, s := range srcs {
+		if aids[k] < 0 {
+			tauFlat[tauPos[s]] = tos[k]
+			tauPos[s]++
+		} else {
+			visFlat[visPos[s]] = visMove{aid: aids[k], to: tos[k]}
+			visPos[s]++
+		}
+	}
+	offerFlat := make([]int32, visOff[n])
 	cg.tau = make([][]int32, n)
 	cg.vis = make([][]visMove, n)
 	cg.offers = make([][]int32, n)
 	cg.stable = make([]bool, n)
-	tauCnt := make([]int32, n)
-	visCnt := make([]int32, n)
-	pos := 0
-	for s := 0; s < n; s++ {
-		for k := int32(0); k < degs[s]; k++ {
-			if aids[pos] < 0 {
-				tauCnt[s]++
-			} else {
-				visCnt[s]++
-			}
-			pos++
-		}
-	}
-	tauOff := make([]int32, n+1)
-	visOff := make([]int32, n+1)
-	for s := 0; s < n; s++ {
-		tauOff[s+1] = tauOff[s] + tauCnt[s]
-		visOff[s+1] = visOff[s] + visCnt[s]
-	}
-	tauFlat := make([]int32, tauOff[n])
-	visFlat := make([]visMove, visOff[n])
-	pos = 0
-	for s := 0; s < n; s++ {
-		tc, vc := tauOff[s], visOff[s]
-		for k := int32(0); k < degs[s]; k++ {
-			if aids[pos] < 0 {
-				tauFlat[tc] = tos[pos]
-				tc++
-			} else {
-				visFlat[vc] = visMove{aid: aids[pos], to: tos[pos]}
-				vc++
-			}
-			pos++
-		}
-	}
 	for s := 0; s < n; s++ {
 		if err := sv.poll("ctx-adj", s); err != nil {
 			return err
@@ -205,13 +230,14 @@ func (sv *solver) buildAdj(cg *ctxGraph, degs, tos, aids []int32) error {
 		cg.tau[s] = sortDedup32(tauFlat[tauOff[s]:tauOff[s+1]:tauOff[s+1]])
 		vm := sortDedupVis(visFlat[visOff[s]:visOff[s+1]:visOff[s+1]])
 		cg.vis[s] = vm
-		var offers []int32
+		lo, hi := visOff[s], visOff[s]
 		for _, t := range vm {
-			if len(offers) == 0 || offers[len(offers)-1] != t.aid {
-				offers = append(offers, t.aid)
+			if hi == lo || offerFlat[hi-1] != t.aid {
+				offerFlat[hi] = t.aid
+				hi++
 			}
 		}
-		cg.offers[s] = offers
+		cg.offers[s] = offerFlat[lo:hi:hi]
 		cg.stable[s] = len(cg.tau[s]) == 0
 	}
 	return nil

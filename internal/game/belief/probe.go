@@ -1,7 +1,6 @@
 package belief
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"fspnet/internal/explore"
@@ -38,7 +37,10 @@ type ctxProbeResult struct {
 }
 
 // probeCtx runs the witness walk under pass "probe". Deterministic:
-// fixed expansion order, fixed budget, no parallelism.
+// fixed expansion order, fixed budget, no parallelism. It walks the
+// vectors through explore's Interner the way explore's own probes do:
+// frames hold their successors flat, and a successor is interned when
+// the walk reaches it.
 func probeCtx(M *explore.Machine, g *guard.G) (ctxProbeResult, error) {
 	var pr ctxProbeResult
 	if err := g.Poll("probe", 0); err != nil {
@@ -58,26 +60,27 @@ func probeCtx(M *explore.Machine, g *guard.G) (ctxProbeResult, error) {
 	}
 	m := M.NumProcs()
 	const black = -2
-	depth := make(map[string]int32) // packed vec → gray depth, or black
+	in := explore.NewInterner(M)
+	var depth []int32 // per id: gray depth, or black
 	scratch := make([]uint32, m)
-	kb := make([]byte, 4*m)
-	pack := func(vec []uint32) string {
-		for i, v := range vec {
-			binary.LittleEndian.PutUint32(kb[i*4:], v)
-		}
-		return string(kb)
+	type frame struct {
+		id   int32
+		succ []uint32 // flat τ-successor vectors
+		next int      // offset of the next successor in succ
 	}
-	// expand enumerates one vector's context moves: the τ-successor keys
-	// (aid < 0), whether any action in acts is offered, and stability.
-	expand := func(vec []uint32, acts []int32) (taus []string, offered, stable bool) {
-		stable = true
+	// enter expands one vector's context moves into a frame; it reports
+	// false when the vector is stable and offers none of P's start
+	// actions — a refusing stable state in the start closure.
+	enter := func(id int32, vec []uint32) (frame, bool) {
+		f := frame{id: id}
+		offered, stable := false, true
 		M.CtxMoves(vec, scratch, func(succ []uint32, aid int32) bool {
 			if aid < 0 {
 				stable = false
-				taus = append(taus, pack(succ))
+				f.succ = append(f.succ, succ...)
 				return true
 			}
-			for _, a := range acts {
+			for _, a := range pacts {
 				if a == aid {
 					offered = true
 					break
@@ -85,26 +88,17 @@ func probeCtx(M *explore.Machine, g *guard.G) (ctxProbeResult, error) {
 			}
 			return true
 		})
-		return taus, offered, stable
-	}
-	type frame struct {
-		key  string
-		succ []string
-		next int
-	}
-	enter := func(key string, vec []uint32) (frame, bool) {
-		taus, offered, stable := expand(vec, pacts)
 		if stable && !offered {
-			pr.saFalse = true // a refusing stable state in the start closure
-			return frame{}, false
+			pr.saFalse = true
+			return f, false
 		}
-		return frame{key: key, succ: taus}, true
+		return f, true
 	}
 	start := M.StartVec()
-	startKey := pack(start)
-	depth[startKey] = 0
+	in.Intern(start)
+	depth = append(depth, 0)
 	pr.states++
-	f, ok := enter(startKey, start)
+	f, ok := enter(0, start)
 	if !ok {
 		return pr, nil
 	}
@@ -112,52 +106,41 @@ func probeCtx(M *explore.Machine, g *guard.G) (ctxProbeResult, error) {
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
 		if f.next >= len(f.succ) {
-			depth[f.key] = black
+			depth[f.id] = black
 			stack = stack[:len(stack)-1]
 			continue
 		}
-		key := f.succ[f.next]
-		f.next++
-		d, seen := depth[key]
-		switch {
-		case seen && d >= 0:
-			// A context-τ cycle reachable from the start via τ-moves: the
-			// start state is silently divergent. ComposeAllCyclic inserts ⊥
-			// only when the context really composes (m ≥ 3).
-			if m >= 3 {
+		vec := f.succ[f.next : f.next+m]
+		f.next += m
+		id, fresh := in.Intern(vec)
+		if !fresh {
+			// A gray successor closes a context-τ cycle reachable from the
+			// start via τ-moves: the start state is silently divergent.
+			// ComposeAllCyclic inserts ⊥ only when the context really
+			// composes (m ≥ 3).
+			if depth[id] >= 0 && m >= 3 {
 				pr.saFalse = true
 				return pr, nil
 			}
-		case seen: // black
-		default:
-			if len(depth) >= ctxProbeBudget {
-				return pr, nil // budget spent without a witness: undecided
-			}
-			pr.states++
-			if len(depth)%pollStride == 0 {
-				if err := g.Poll("probe", len(depth)/pollStride); err != nil {
-					return pr, g.Limit(
-						fmt.Errorf("belief: probe stopped at %d context vectors: %w", len(depth), err),
-						guard.Partial{States: pr.states, Pass: "probe"})
-				}
-			}
-			depth[key] = int32(len(stack))
-			nf, ok := enter(key, unpackCtxKey(key, m))
-			if !ok {
-				return pr, nil
-			}
-			stack = append(stack, nf)
+			continue
 		}
+		if len(depth) >= ctxProbeBudget {
+			return pr, nil // budget spent without a witness: undecided
+		}
+		pr.states++
+		if len(depth)%pollStride == 0 {
+			if err := g.Poll("probe", len(depth)/pollStride); err != nil {
+				return pr, g.Limit(
+					fmt.Errorf("belief: probe stopped at %d context vectors: %w", len(depth), err),
+					guard.Partial{States: pr.states, Pass: "probe"})
+			}
+		}
+		depth = append(depth, int32(len(stack)))
+		nf, ok := enter(id, vec)
+		if !ok {
+			return pr, nil
+		}
+		stack = append(stack, nf)
 	}
 	return pr, nil
-}
-
-// unpackCtxKey reverses the probe's 4-byte little-endian vector packing.
-func unpackCtxKey(key string, m int) []uint32 {
-	vec := make([]uint32, m)
-	for i := range vec {
-		vec[i] = uint32(key[4*i]) | uint32(key[4*i+1])<<8 |
-			uint32(key[4*i+2])<<16 | uint32(key[4*i+3])<<24
-	}
-	return vec
 }
