@@ -12,14 +12,17 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint runs the fsplint analyzer suite (detrand, frozenbits, frozenfsp,
-# guardpoll, mapiter) over every package, then the speclint analyzers
-# over every .fsp corpus file. See docs/ANALYSIS.md. It also runs as a
-# go vet tool:
+# lint fails if gofmt would change any tracked .go file (untracked build
+# directories such as .bench_build/ stay out), then runs the fsplint
+# analyzer suite (detrand, frozenbits, frozenfsp, guardpoll, mapiter)
+# over every package, then the speclint analyzers over every .fsp corpus
+# file. See docs/ANALYSIS.md. It also runs as a go vet tool:
 #   go build -o bin/fsplint ./cmd/fsplint && go vet -vettool=bin/fsplint ./...
 # The second invocation pins the game solvers explicitly: a map-order
 # dependence there changes verdict determinism, not just output order.
 lint: lint-specs
+	@unformatted="$$(gofmt -l $$(git ls-files '*.go'))"; \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/fsplint ./...
 	$(GO) run ./cmd/fsplint ./internal/game/...
 

@@ -33,8 +33,9 @@ type Config struct {
 	MaxInflight int
 	// Health tunes the prober.
 	Health HealthConfig
-	// Client is the forwarding HTTP client; nil gets a default with a
-	// sane dial timeout. Probes share it.
+	// Client is the forwarding HTTP client; nil gets a default whose
+	// transport keeps MaxInflight idle connections per worker, so every
+	// admitted forward can reuse a warm connection. Probes share it.
 	Client *http.Client
 	// Logf receives operational events; nil discards them.
 	Logf func(format string, args ...any)
@@ -69,7 +70,13 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	client := cfg.Client
 	if client == nil {
-		client = &http.Client{Timeout: 5 * time.Minute}
+		// http.DefaultTransport keeps 2 idle connections per host: past two
+		// concurrent forwards, every answered forward would close its
+		// connection and the next would dial a new one.
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConnsPerHost = cfg.MaxInflight
+		tr.MaxIdleConns = cfg.MaxInflight * len(cfg.Workers)
+		client = &http.Client{Timeout: 5 * time.Minute, Transport: tr}
 	}
 	c := &Cluster{
 		cfg:      cfg,

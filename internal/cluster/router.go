@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -35,8 +34,8 @@ type RouterConfig struct {
 // Router fronts a set of fspd workers with the single-worker API:
 // /v1/analyze, /v1/analyze/batch, /v1/lint, /v1/verdict/{digest},
 // /healthz, and an aggregated /statusz. Every request canonicalizes at
-// the edge with the same functions the workers use, routes by content
-// digest to the worker that owns it on the ring, and relays the
+// the edge with the same memoized stage the workers use, routes by
+// content digest to the worker that owns it on the ring, and relays the
 // worker's answer verbatim — status, Retry-After, partial verdicts and
 // all. The router holds no verdict state of its own: the cluster-wide
 // cache is the workers' union, and any router in front of the same
@@ -44,6 +43,7 @@ type RouterConfig struct {
 type Router struct {
 	cfg     RouterConfig
 	cluster *Cluster
+	canon   *serve.Canonicalizer
 	mux     *http.ServeMux
 	start   time.Time
 
@@ -75,9 +75,12 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.StatusTimeout <= 0 {
 		cfg.StatusTimeout = 2 * time.Second
 	}
+	// The edge memo holds as many requests as the workers' verdict caches
+	// do together at their default size.
 	rt := &Router{
 		cfg:     cfg,
 		cluster: cl,
+		canon:   serve.NewCanonicalizer(len(cfg.Cluster.Workers) * serve.DefaultCacheEntries),
 		mux:     http.NewServeMux(),
 		start:   time.Now(), //fsplint:ignore detrand uptime anchor
 	}
@@ -131,18 +134,18 @@ func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, bodyErrorCode(err), "%v", err)
 		return
 	}
-	req, err := reparseAnalyzeBody(r, body, rt.cfg.MaxBodyBytes)
+	req, err := serve.DecodeAnalyzeBody(body, r.Header.Get("Content-Type"), r.URL.Query())
 	if err != nil {
-		writeError(w, bodyErrorCode(err), "%v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	_, digest, err := serve.Canonicalize(&req)
+	c, err := rt.canon.Resolve(&req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	rt.requests.Add(1)
-	rt.relay(w, digest, http.MethodPost, r.URL.RequestURI(), r.Header.Get("Content-Type"), body)
+	rt.relay(w, c.Digest, http.MethodPost, r.URL.RequestURI(), r.Header.Get("Content-Type"), body)
 }
 
 // handleLint routes a lint request by the lint digest of its canonical
@@ -155,9 +158,9 @@ func (rt *Router) handleLint(w http.ResponseWriter, r *http.Request) {
 		writeError(w, bodyErrorCode(err), "%v", err)
 		return
 	}
-	req, err := reparseAnalyzeBody(r, body, rt.cfg.MaxBodyBytes)
+	req, err := serve.DecodeAnalyzeBody(body, r.Header.Get("Content-Type"), r.URL.Query())
 	if err != nil {
-		writeError(w, bodyErrorCode(err), "%v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	spec, err := fsplang.ParseSpec(req.Network)
@@ -208,19 +211,6 @@ func (rt *Router) relay(w http.ResponseWriter, digest, method, pathAndQuery, con
 	}
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body) //nolint:errcheck
-}
-
-// reparseAnalyzeBody runs serve.ParseAnalyzeBody over an already-read
-// body, preserving the original request's query string and Content-Type
-// so both encodings (JSON body, raw fsplang + query parameters) parse
-// exactly as the worker will parse them.
-func reparseAnalyzeBody(r *http.Request, body []byte, limit int64) (serve.AnalyzeRequest, error) {
-	pr, err := http.NewRequest(r.Method, r.URL.String(), bytes.NewReader(body))
-	if err != nil {
-		return serve.AnalyzeRequest{}, err
-	}
-	pr.Header.Set("Content-Type", r.Header.Get("Content-Type"))
-	return serve.ParseAnalyzeBody(pr, limit)
 }
 
 // bodyErrorCode mirrors the workers' mapping: over-cap 413, else 400.

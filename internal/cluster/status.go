@@ -65,6 +65,11 @@ type RouterStats struct {
 	Errors     int64 `json:"errors"`
 	// Inflight is the number of occupied forwarding slots right now.
 	Inflight int `json:"inflight"`
+	// CanonHits and CanonMisses count the edge's canonicalization memo:
+	// analyze requests and batch items whose digest it answered without
+	// parsing, and the ones it canonicalized (invalid ones included).
+	CanonHits   int64 `json:"canonHits"`
+	CanonMisses int64 `json:"canonMisses"`
 	// Uptime is wall time since the router was built.
 	Uptime string `json:"uptime"`
 	// Runtime samples the router process itself, in the same shape the
@@ -89,6 +94,7 @@ func (rt *Router) Snapshot() RouterStats {
 		Uptime:     time.Since(rt.start).Round(time.Millisecond).String(), //fsplint:ignore detrand uptime display
 		Runtime:    serve.ReadRuntime(),
 	}
+	out.CanonHits, out.CanonMisses = rt.canon.Counts()
 	done := make(chan struct{}, len(workers))
 	for wi := range workers {
 		go func(wi int) {

@@ -26,8 +26,8 @@ const arenaShards = 64
 // so a slice returned by set stays valid after the lock is dropped even
 // if a later append reallocates the shard's backing array.
 type arena struct {
-	words int
-	count atomic.Int64
+	words  int
+	count  atomic.Int64
 	shards [arenaShards]struct {
 		mu   sync.RWMutex
 		ids  map[string]int32

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"sync"
 
-	"fspnet/internal/network"
 	"fspnet/internal/speclint"
 	"fspnet/internal/verdictjson"
 )
@@ -37,11 +36,10 @@ func batchItemError(msg string) AnalyzeResponse {
 }
 
 // batchUnique is the per-distinct-digest work unit: the first item that
-// produced the digest supplies the parsed network and resolved limits.
+// produced the digest supplies the network and resolved limits.
 type batchUnique struct {
-	n        *network.Network
+	cr       canonReq
 	req      AnalyzeRequest
-	digest   string
 	warnings []speclint.Diagnostic
 
 	res    runResult
@@ -94,7 +92,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			out[i] = batchItemError(ErrBodyTooLarge.Error())
 			continue
 		}
-		n, canonical, digest, err := canonicalizeNetwork(&req)
+		cr, err := s.canon.resolve(&req)
 		if err != nil {
 			out[i] = batchItemError(err.Error())
 			continue
@@ -106,25 +104,25 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.c.requests.Add(1)
 		var warnings []speclint.Diagnostic
 		if req.Lint {
-			_, warnings, _ = s.lintCanonical(canonical)
+			warnings = s.warnings(&cr)
 		}
-		if u, ok := uniqueOf[digest]; ok {
+		if u, ok := uniqueOf[cr.Digest]; ok {
 			// Duplicate after canonicalization: share the unique's run.
 			// Warnings depend only on the canonical text, so the copies are
 			// identical anyway.
 			itemUnique[i] = u
 			continue
 		}
-		uniqueOf[digest] = len(uniques)
+		uniqueOf[cr.Digest] = len(uniques)
 		itemUnique[i] = len(uniques)
-		uniques = append(uniques, &batchUnique{n: n, req: req, digest: digest, warnings: warnings})
+		uniques = append(uniques, &batchUnique{cr: cr, req: req, warnings: warnings})
 	}
 
 	// Pass 2 — answer from cache/disk, then run the misses concurrently,
 	// each charged individually against the pool.
 	var wg sync.WaitGroup
 	for _, u := range uniques {
-		if rec, ok := s.lookup(u.digest); ok {
+		if rec, ok := s.lookup(u.cr.Digest); ok {
 			s.c.hits.Add(1)
 			u.rec, u.hasRec, u.hit = rec, true, true
 			continue
@@ -132,8 +130,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(u *batchUnique) {
 			defer wg.Done()
-			deadline, _ := s.requestDeadline(u.req) // validated in pass 1
-			u.res = s.runAnalysis(r.Context(), u.n, u.req, u.digest, deadline)
+			if n, err := u.cr.network(); err != nil {
+				u.res = runResult{rec: batchItemError(err.Error()).Record, outcome: runError}
+			} else {
+				deadline, _ := s.requestDeadline(u.req) // validated in pass 1
+				u.res = s.runAnalysis(r.Context(), n, u.req, u.cr.Digest, deadline)
+			}
 			if u.res.outcome == runOK || u.res.outcome == runPartial || u.res.outcome == runError {
 				u.rec, u.hasRec = u.res.rec, true
 			}
@@ -158,7 +160,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		first := !seen[ui]
 		seen[ui] = true
 		resp := AnalyzeResponse{
-			Digest: u.digest, Mode: u.req.Mode, Predicates: u.req.Predicates,
+			Digest: u.cr.Digest, Mode: u.req.Mode, Predicates: u.req.Predicates,
 			Warnings: u.warnings,
 		}
 		switch {

@@ -18,6 +18,9 @@
 //     the same way, so draining returns partial verdicts rather than
 //     dropping work.
 //
+// A Canonicalizer in front of the parse memoizes each raw request's
+// digest, so a repeated request neither parses nor formats.
+//
 // Endpoints: POST /v1/analyze, POST /v1/lint, GET /v1/verdict/{digest},
 // GET /healthz, GET /statusz. See docs/SERVICE.md for the wire format.
 //
@@ -36,13 +39,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"fspnet/internal/explore"
-	"fspnet/internal/fsp"
 	"fspnet/internal/fsplang"
 	"fspnet/internal/game/belief"
 	"fspnet/internal/guard"
@@ -94,7 +97,10 @@ type Config struct {
 	// ≤ 0 means DefaultQueueDepth. Negative admission is impossible: a
 	// full queue answers 429.
 	QueueDepth int
-	// CacheEntries bounds the verdict LRU; ≤ 0 means DefaultCacheEntries.
+	// CacheEntries bounds the verdict LRU, the lint LRU and the
+	// canonicalization memo; ≤ 0 means DefaultCacheEntries. A memo entry
+	// pays only while its verdict can be cached, so one bound serves all
+	// three.
 	CacheEntries int
 	// MaxTimeout caps (and, when a request names none, supplies) the
 	// per-request deadline; 0 means no server-imposed deadline.
@@ -130,6 +136,7 @@ type Config struct {
 // and is normally mounted via Handler on an http.Server owned by cmd/fspd.
 type Server struct {
 	cfg   Config
+	canon *Canonicalizer
 	cache *lru[verdictjson.Record]
 	lints *lru[[]speclint.Diagnostic]
 	admit chan struct{} // admission tickets: Workers + QueueDepth
@@ -178,6 +185,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:   cfg,
+		canon: NewCanonicalizer(cfg.CacheEntries),
 		cache: newLRU[verdictjson.Record](cfg.CacheEntries),
 		lints: newLRU[[]speclint.Diagnostic](cfg.CacheEntries),
 		admit: make(chan struct{}, cfg.Workers+cfg.QueueDepth),
@@ -267,6 +275,7 @@ func (s *Server) registerCancel(cancel context.CancelFunc) func() {
 
 // Snapshot returns the current Stats.
 func (s *Server) Snapshot() Stats {
+	canonHits, canonMisses := s.canon.Counts()
 	return Stats{
 		Requests:      s.c.requests.Load(),
 		Hits:          s.c.hits.Load(),
@@ -288,6 +297,8 @@ func (s *Server) Snapshot() Stats {
 		LintMisses:    s.c.lintMisses.Load(),
 		LintEntries:   s.lints.len(),
 		LintEvictions: int64(s.lints.evicted()),
+		CanonHits:     canonHits,
+		CanonMisses:   canonMisses,
 		Store:         s.store.snapshot(),
 		Uptime:        time.Since(s.start).Round(time.Millisecond).String(), //fsplint:ignore detrand uptime for /statusz
 		Runtime:       ReadRuntime(),
@@ -425,25 +436,30 @@ func ReadBody(r *http.Request, limit int64) ([]byte, error) {
 	return body, nil
 }
 
-// ParseAnalyzeBody decodes either encoding of an analyze request body —
-// a JSON AnalyzeRequest, or a raw fsplang source with the parameters in
-// the query string — enforcing the byte cap. cmd/fsprouter parses with
-// the same function the workers use, so the two tiers can never disagree
-// about what a request means.
+// ParseAnalyzeBody reads r's body under the byte cap and decodes it with
+// DecodeAnalyzeBody.
 func ParseAnalyzeBody(r *http.Request, limit int64) (AnalyzeRequest, error) {
 	body, err := ReadBody(r, limit)
 	if err != nil {
 		return AnalyzeRequest{}, err
 	}
+	return DecodeAnalyzeBody(body, r.Header.Get("Content-Type"), r.URL.Query())
+}
+
+// DecodeAnalyzeBody decodes either encoding of an analyze request body —
+// a JSON AnalyzeRequest, or a raw fsplang source with the parameters in
+// the query string. cmd/fsprouter decodes the bytes it has already read
+// with the same function the workers use, so the two tiers can never
+// disagree about what a request means.
+func DecodeAnalyzeBody(body []byte, contentType string, q url.Values) (AnalyzeRequest, error) {
 	var req AnalyzeRequest
-	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
+	if strings.HasPrefix(contentType, "application/json") {
 		if err := json.Unmarshal(body, &req); err != nil {
 			return AnalyzeRequest{}, fmt.Errorf("decoding JSON body: %w", err)
 		}
 	} else {
 		// Raw fsplang body; parameters ride in the query string.
 		req.Network = string(body)
-		q := r.URL.Query()
 		if v := q.Get("process"); v != "" {
 			p, err := strconv.Atoi(v)
 			if err != nil {
@@ -470,60 +486,6 @@ func ParseAnalyzeBody(r *http.Request, limit int64) (AnalyzeRequest, error) {
 		}
 	}
 	return req, nil
-}
-
-// Canonicalize parses, resolves, and canonicalizes one analyze request:
-// req's defaulted fields (mode, predicates) are replaced by their
-// resolved values, and the canonical text plus content digest come back.
-// This is the routing primitive — the digest it returns is the cache key
-// on whichever worker owns it on the ring — and the validation primitive:
-// any error is a client error (the single-request handlers answer 400,
-// the batch handler a per-item error record).
-func Canonicalize(req *AnalyzeRequest) (canonical, digest string, err error) {
-	_, canonical, digest, err = canonicalizeNetwork(req)
-	return canonical, digest, err
-}
-
-// canonicalizeNetwork is Canonicalize keeping the parsed network, which
-// the analysis path needs.
-func canonicalizeNetwork(req *AnalyzeRequest) (*network.Network, string, string, error) {
-	n, err := fsplang.ParseString(req.Network)
-	if err != nil {
-		return nil, "", "", fmt.Errorf("parsing network: %w", err)
-	}
-	if err := resolve(req, n); err != nil {
-		return nil, "", "", err
-	}
-	canonical := fsplang.Format(n)
-	return n, canonical, Digest(canonical, req.Process, req.Mode, req.Predicates), nil
-}
-
-// resolve validates the request against the parsed network and fixes the
-// defaulted parameters, so the digest is computed over resolved values:
-// "auto" and an explicit matching mode share cache entries.
-func resolve(req *AnalyzeRequest, n *network.Network) error {
-	if req.Process < 0 || req.Process >= n.Len() {
-		return fmt.Errorf("process index %d out of range [0,%d)", req.Process, n.Len())
-	}
-	switch req.Mode {
-	case "", "auto":
-		if n.MaxClass() == fsp.ClassCyclic {
-			req.Mode = "cyclic"
-		} else {
-			req.Mode = "acyclic"
-		}
-	case "acyclic", "cyclic":
-	default:
-		return fmt.Errorf("unknown mode %q (want auto, acyclic, or cyclic)", req.Mode)
-	}
-	switch req.Predicates {
-	case "":
-		req.Predicates = PredicatesAll
-	case PredicatesAll, PredicatesReach:
-	default:
-		return fmt.Errorf("unknown predicates %q (want all or reach)", req.Predicates)
-	}
-	return nil
 }
 
 // requestDeadline lowers the request timeout onto an absolute deadline,
@@ -577,23 +539,51 @@ const lintFile = "network.fsp"
 // (FormatSpec output is idempotent), so there is no error path.
 func (s *Server) lintCanonical(canonical string) (digest string, diags []speclint.Diagnostic, cached bool) {
 	digest = LintDigest(canonical)
-	if diags, ok := s.lints.get(digest); ok {
-		s.c.lintHits.Add(1)
+	if diags, ok := s.lintHit(digest); ok {
 		return digest, diags, true
 	}
+	return digest, s.runLint(digest, canonical), false
+}
+
+// warnings returns the diagnostics attached to a lint=true analysis: from
+// the lint cache by the memoized lint digest, or, on a lint-cache miss,
+// by canonicalizing again.
+func (s *Server) warnings(cr *canonReq) []speclint.Diagnostic {
+	if diags, ok := s.lintHit(cr.LintDigest); ok {
+		return diags
+	}
+	canonical, err := cr.canonical()
+	if err != nil {
+		return nil // unreachable: the memo saw this text parse
+	}
+	return s.runLint(cr.LintDigest, canonical)
+}
+
+// lintHit serves a lint digest from the lint cache.
+func (s *Server) lintHit(digest string) ([]speclint.Diagnostic, bool) {
+	diags, ok := s.lints.get(digest)
+	if ok {
+		s.c.lintHits.Add(1)
+	}
+	return diags, ok
+}
+
+// runLint runs speclint over a canonical network text and caches the
+// diagnostics under its lint digest.
+func (s *Server) runLint(digest, canonical string) []speclint.Diagnostic {
 	spec, err := fsplang.ParseSpec(canonical)
 	if err != nil {
 		// Unreachable by construction; fail closed with no diagnostics
 		// rather than panicking in a handler.
-		return digest, nil, false
+		return nil
 	}
-	diags = speclint.RunSpec(lintFile, spec, nil)
+	diags := speclint.RunSpec(lintFile, spec, nil)
 	if diags == nil {
 		diags = []speclint.Diagnostic{}
 	}
 	s.c.lintMisses.Add(1)
 	s.lints.add(digest, diags)
-	return digest, diags, false
+	return diags
 }
 
 func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
@@ -633,7 +623,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, bodyErrorCode(err), "%v", err)
 		return
 	}
-	n, canonical, digest, err := canonicalizeNetwork(&req)
+	cr, err := s.canon.resolve(&req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -647,8 +637,9 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 
 	var warnings []speclint.Diagnostic
 	if req.Lint {
-		_, warnings, _ = s.lintCanonical(canonical)
+		warnings = s.warnings(&cr)
 	}
+	digest := cr.Digest
 	if rec, ok := s.lookup(digest); ok {
 		s.c.hits.Add(1)
 		writeJSON(w, http.StatusOK, AnalyzeResponse{
@@ -657,7 +648,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-
+	n, err := cr.network()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	res := s.runAnalysis(r.Context(), n, req, digest, deadline)
 	switch res.outcome {
 	case runOK:

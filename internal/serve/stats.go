@@ -67,6 +67,12 @@ type Stats struct {
 	LintEntries int `json:"lintEntries"`
 	// LintEvictions counts lint diagnostics dropped by the LRU bound.
 	LintEvictions int64 `json:"lintEvictions"`
+	// CanonHits counts analyze requests and batch items whose digest the
+	// canonicalization memo answered without parsing; CanonMisses counts
+	// the ones it canonicalized, invalid requests included (errors are
+	// never memoized).
+	CanonHits   int64 `json:"canonHits"`
+	CanonMisses int64 `json:"canonMisses"`
 	// Store reports the persistent verdict store's health and on-disk
 	// shape; state "disabled" means no cache directory is configured.
 	Store *StoreStats `json:"store"`
