@@ -90,7 +90,7 @@ func run(args []string, stdout io.Writer, sig <-chan os.Signal, ready chan<- str
 		addr       = fs.String("addr", ":8373", "listen address")
 		workers    = fs.Int("workers", 0, "concurrent analyses (0 = default of 2; each analysis is internally parallel)")
 		queue      = fs.Int("queue", serve.DefaultQueueDepth, "admission queue depth beyond the worker pool; a full queue answers 429")
-		cacheSize  = fs.Int("cache", serve.DefaultCacheEntries, "verdict cache entries (LRU)")
+		cacheSize  = fs.Int("cache", serve.DefaultCacheEntries, "verdict cache entries (LRU); also bounds the lint cache and the canonicalization memo")
 		cacheDir   = fs.String("cache-dir", "", "directory for the persistent verdict store (empty = memory-only)")
 		diskCap    = fs.Int("cache-disk-cap", store.DefaultMaxRecords, "persistent store record bound; compaction drops the oldest beyond it")
 		maxTimeout = fs.Duration("max-timeout", 60*time.Second, "cap and default for per-request deadlines (0 = none)")
