@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race test-fault test-crash test-sym serve-test serve-smoke cluster-test bench bench-smoke perf perf-smoke experiments experiments-quick experiments-json vet lint lint-specs fuzz-short cover examples clean
+.PHONY: all build test test-race test-fault test-crash test-engines serve-test serve-smoke cluster-test bench bench-smoke perf perf-smoke experiments experiments-quick experiments-json vet lint lint-specs fuzz-short cover examples clean
 
 all: build vet lint test
 
@@ -68,35 +68,35 @@ serve-smoke:
 # cluster-test runs the scale-out tier suites under the race detector:
 # consistent-hash ring determinism and distribution, failover when a
 # worker is killed mid-load (no verdict contradictions), probe-driven
-# ejection and readmission, batch-vs-single byte identity through the
-# router, and the fspload open-loop driver. See docs/SERVICE.md.
+# ejection and readmission, and batch-vs-single byte identity through
+# the router. See docs/SERVICE.md.
 cluster-test:
-	$(GO) test -race -timeout 10m ./internal/cluster ./cmd/fsprouter ./cmd/fspload
+	$(GO) test -race -timeout 10m ./internal/cluster ./cmd/fsprouter
 
-# test-sym runs the symmetry-reduction suites under the race detector:
-# the symred group machinery, the explore/belief differential and
-# determinism tests, the explore and belief golden stats suites, the
-# cross-engine differential fuzz seed corpus, and the fspd
-# philosophers20 end-to-end check. See docs/PERF.md.
-test-sym:
-	$(GO) test -race -timeout 5m ./internal/symred
-	$(GO) test -race -timeout 5m -run 'Sym|Orbit|Probe' ./internal/explore ./internal/game/belief
+# test-engines runs the engine suites under the race detector: the
+# explore and belief golden stats suites, the witness-probe tests, the
+# probes-on against probes-off differential fuzz seed corpus, the fspd
+# philosophers20 end-to-end check, and the symred discovery tests. See
+# docs/PERF.md.
+test-engines:
 	$(GO) test -race -timeout 5m -run Golden ./internal/explore ./internal/game/belief
-	$(GO) test -race -timeout 5m -run FuzzDifferentialSymmetry ./internal/bench
+	$(GO) test -race -timeout 5m -run Probe ./internal/explore ./internal/game/belief
+	$(GO) test -race -timeout 5m -run FuzzDifferentialProbe ./internal/bench
 	$(GO) test -race -timeout 5m -run 'Philosophers20|SingleFlight' ./internal/serve
+	$(GO) test -race -timeout 5m ./internal/symred
 
 # fuzz-short gives each fuzz target a 10s budget, the same wiring CI uses
 # (go test accepts one -fuzz pattern per run, hence one invocation per
 # target). FuzzDifferentialSa cross-checks the compose-free belief engine
 # against the legacy compose-then-recurse S_a solver;
-# FuzzDifferentialSymmetry cross-checks the orbit-quotiented engines
-# against the unreduced oracle over all three predicates.
+# FuzzDifferentialProbe cross-checks the engines with their witness
+# probes on against the probe-free oracle over all three predicates.
 fuzz-short:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/fsplang
 	$(GO) test -fuzz=FuzzFormatRoundTrip -fuzztime=10s ./internal/fsplang
 	$(GO) test -fuzz=FuzzDifferentialSa -fuzztime=10s ./internal/game/belief
 	$(GO) test -fuzz=FuzzSpeclint -fuzztime=10s ./internal/speclint
-	$(GO) test -fuzz=FuzzDifferentialSymmetry -fuzztime=10s ./internal/bench
+	$(GO) test -fuzz=FuzzDifferentialProbe -fuzztime=10s ./internal/bench
 
 test-verbose:
 	$(GO) test -count=1 -v ./... 2>&1 | tee test_output.txt

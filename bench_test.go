@@ -297,26 +297,6 @@ func BenchmarkE12BeliefGame(b *testing.B) {
 			}
 		})
 	}
-	// Tuning sweep: antichain pruning on/off crossed with sweep worker
-	// counts, on the ring whose game is big enough to separate them.
-	for _, tc := range []struct {
-		name string
-		tune belief.Tuning
-	}{
-		{"antichain=on/workers=1", belief.Tuning{Workers: 1}},
-		{"antichain=on/workers=4", belief.Tuning{Workers: 4}},
-		{"antichain=off/workers=1", belief.Tuning{NoAntichain: true, Workers: 1}},
-		{"antichain=off/workers=4", belief.Tuning{NoAntichain: true, Workers: 4}},
-	} {
-		n := mustGen(b)(bench.Philosophers(8))
-		b.Run("tuning/phil/m=8/"+tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := belief.SolveCyclicTuned(n, 0, game.Options{}, tc.tune); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 	for _, m := range []int{4, 6} {
 		n := mustGen(b)(bench.Philosophers(m))
 		b.Run(fmt.Sprintf("reference/phil/m=%d", m), func(b *testing.B) {
@@ -331,61 +311,6 @@ func BenchmarkE12BeliefGame(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkE13Symmetry measures the orbit-canonical state interning on
-// the philosophers10 ring: the quotiented explore engine (probe off, so
-// the C_10 quotient is genuinely enumerated) against the unreduced
-// engine, plus the default probe-first configuration across both
-// engines. The quotient and probe rows assert their machinery actually
-// fired — `make bench-smoke` runs every benchmark once, so a
-// silently-disabled reduction fails CI here.
-func BenchmarkE13Symmetry(b *testing.B) {
-	n := mustGen(b)(bench.Philosophers(10))
-	b.Run("quotient/phil/m=10", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := explore.AnalyzeCyclic(n, 0, explore.Options{Tune: explore.Tuning{NoProbe: true}})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Stats.GroupOrder < 10 || res.Stats.OrbitHits == 0 || res.Stats.SymStates == 0 {
-				b.Fatalf("symmetry reduction inactive on philosophers10: %+v", res.Stats)
-			}
-			if i == 0 {
-				b.ReportMetric(float64(res.Stats.States), "states")
-				b.ReportMetric(float64(res.Stats.SymStates), "collapsed-states")
-			}
-		}
-	})
-	b.Run("raw/phil/m=10", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := explore.AnalyzeCyclic(n, 0, explore.Options{Tune: explore.Tuning{NoSymmetry: true, NoProbe: true}})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				b.ReportMetric(float64(res.Stats.States), "states")
-			}
-		}
-	})
-	b.Run("probe/phil/m=10", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := explore.AnalyzeCyclic(n, 0, explore.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			sa, st, err := belief.SolveCyclic(n, 0, game.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Su || sa || !res.Sc {
-				b.Fatalf("verdict (Su=%v Sa=%v Sc=%v), want (false,false,true)", res.Su, sa, res.Sc)
-			}
-			if res.Stats.ProbeStates == 0 || st.ProbeStates == 0 {
-				b.Fatalf("probes inactive: explore %+v, belief %+v", res.Stats, st)
-			}
-		}
-	})
 }
 
 // BenchmarkCompose measures the composition operator itself.

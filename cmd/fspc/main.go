@@ -76,7 +76,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		algo = fs.String("algo", "auto",
 			"decision algorithm: auto, reference, tree (Theorem 3), linear (Proposition 1), unary (Theorem 4), poss (Lemmas 3–4)")
 		engine = fs.String("engine", "explore",
-			"backend for the reference algorithm: explore or belief (compose-free — on-the-fly joint vectors for S_u/S_c, the bitset belief game for S_a) or compose (materialized context); on budget or deadline exhaustion fspc exits 3 with a partial verdict (structured verdictjson under -json)")
+			"backend for the reference algorithm: explore (compose-free — on-the-fly joint vectors for S_u/S_c, the bitset belief game for S_a) or compose (materialized context); on budget or deadline exhaustion fspc exits 3 with a partial verdict (structured verdictjson under -json)")
 		dot      = fs.Bool("dot", false, "emit Graphviz for every process instead of analyzing")
 		all      = fs.Bool("all", false, "analyze every process (concurrently) instead of just -p")
 		format   = fs.String("format", "text", "output format: text, or json (reference algorithm, verdictjson records — byte-identical to the fspd service)")
@@ -195,18 +195,18 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	return nil
 }
 
-// engineOptions maps the -engine flag to the success backend options.
-// "belief" is an alias for the default compose-free backend: since the
-// S_a game moved onto internal/game/belief, BackendExplore composes
-// nothing at all.
+// engineOptions maps the -engine flag to the success backend options:
+// "explore" is the compose-free default (S_u/S_c from internal/explore,
+// S_a from internal/game/belief), "compose" the compose-then-explore
+// oracle.
 func engineOptions(name string) (success.Options, error) {
 	switch name {
-	case "explore", "belief":
+	case "explore":
 		return success.Options{Backend: success.BackendExplore}, nil
 	case "compose":
 		return success.Options{Backend: success.BackendCompose}, nil
 	default:
-		return success.Options{}, fmt.Errorf("unknown engine %q (want explore, belief, or compose)", name)
+		return success.Options{}, fmt.Errorf("unknown engine %q (want explore or compose)", name)
 	}
 }
 

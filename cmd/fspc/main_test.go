@@ -273,24 +273,24 @@ func TestRunTimeoutExitCode3(t *testing.T) {
 	}
 }
 
-func TestRunEngineBelief(t *testing.T) {
-	// -engine belief selects the compose-free backend (S_a via the bitset
-	// belief game); every engine must print the same verdict line.
+func TestRunEngineExplore(t *testing.T) {
+	// -engine explore selects the compose-free backend (S_a via the
+	// bitset belief game); it must print the compose oracle's verdict line.
 	want, err := runFspc(t, figure3, "-algo", "reference", "-engine", "compose", "-")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []string{"explore", "belief"} {
-		out, err := runFspc(t, figure3, "-algo", "reference", "-engine", engine, "-")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotLine, wantLine := verdictLine(t, out), verdictLine(t, want); gotLine != wantLine {
-			t.Errorf("-engine %s: %q, compose oracle: %q", engine, gotLine, wantLine)
-		}
+	out, err := runFspc(t, figure3, "-algo", "reference", "-engine", "explore", "-")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := runFspc(t, figure3, "-engine", "bogus", "-"); err == nil {
-		t.Error("unknown engine must be rejected")
+	if gotLine, wantLine := verdictLine(t, out), verdictLine(t, want); gotLine != wantLine {
+		t.Errorf("-engine explore: %q, compose oracle: %q", gotLine, wantLine)
+	}
+	for _, engine := range []string{"bogus", "belief"} {
+		if _, err := runFspc(t, figure3, "-engine", engine, "-"); err == nil || !strings.Contains(err.Error(), "unknown engine") {
+			t.Errorf("-engine %s: err = %v, want the unknown-engine error", engine, err)
+		}
 	}
 }
 
@@ -305,11 +305,11 @@ func verdictLine(t *testing.T, out string) string {
 	return ""
 }
 
-// TestRunEngineBeliefTimeoutJSON exhausts the deadline under -engine
-// belief and requires the structured verdictjson partial with exit 3.
-func TestRunEngineBeliefTimeoutJSON(t *testing.T) {
+// TestRunEngineExploreTimeoutJSON exhausts the deadline under -engine
+// explore and requires the structured verdictjson partial with exit 3.
+func TestRunEngineExploreTimeoutJSON(t *testing.T) {
 	var out bytes.Buffer
-	err := run([]string{"-engine", "belief", "-json", "-timeout", "1ns", "-"},
+	err := run([]string{"-engine", "explore", "-json", "-timeout", "1ns", "-"},
 		strings.NewReader(cyclicPair), &out)
 	if err == nil {
 		t.Fatal("run with an already-expired deadline must fail")

@@ -88,7 +88,7 @@ func run(args []string, stdout io.Writer, sig <-chan os.Signal, ready chan<- str
 	fs.SetOutput(stdout)
 	var (
 		addr       = fs.String("addr", ":8373", "listen address")
-		workers    = fs.Int("workers", 0, "concurrent analyses (0 = default of 2; each analysis is internally parallel)")
+		workers    = fs.Int("workers", 0, "concurrent analyses (0 = default of 2)")
 		queue      = fs.Int("queue", serve.DefaultQueueDepth, "admission queue depth beyond the worker pool; a full queue answers 429")
 		cacheSize  = fs.Int("cache", serve.DefaultCacheEntries, "verdict cache entries (LRU); also bounds the lint cache and the canonicalization memo")
 		cacheDir   = fs.String("cache-dir", "", "directory for the persistent verdict store (empty = memory-only)")

@@ -63,7 +63,7 @@ func TestAllExperimentsQuick(t *testing.T) {
 		t.Fatalf("RunAll: %v\n%s", err, sb.String())
 	}
 	out := sb.String()
-	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13"} {
+	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12"} {
 		if !strings.Contains(out, "== "+id+":") {
 			t.Errorf("missing experiment %s in output", id)
 		}

@@ -3,7 +3,6 @@ package bench
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"fspnet/internal/game"
 	"fspnet/internal/game/belief"
@@ -18,12 +17,6 @@ import (
 // with P, so it
 // keeps deciding S_a at sizes where the reference's context fold exceeds
 // its state budget — the same cliff E11 shows for S_u/S_c.
-//
-// Each row also sweeps the engine's Tuning axes: the production default
-// (antichain pruning on, sweep workers = GOMAXPROCS) against the
-// unpruned sequential oracle configuration, whose verdict must agree
-// byte for byte. The antichain/pruned/workers columns come from the
-// default run's Stats.
 func E12(quick bool, g *guard.G) (*Table, error) {
 	const composeBudget = 50000
 	type fam struct {
@@ -42,10 +35,8 @@ func E12(quick bool, g *guard.G) (*Table, error) {
 		families[0].sizes = []int{4, 8}
 		families[1].sizes = []int{2, 4}
 	}
-	oracle := belief.Tuning{NoAntichain: true, Workers: 1}
 	t := &Table{Header: []string{"family", "m", "network size", "S_a",
-		"ctx states", "beliefs", "positions", "antichain hits", "pruned", "workers",
-		"belief engine", "oracle engine", "oracle agree", "reference", "agreement"}}
+		"ctx states", "beliefs", "positions", "belief engine", "reference", "agreement"}}
 	for _, f := range families {
 		for _, m := range f.sizes {
 			if err := rowPoll(g, t); err != nil {
@@ -55,23 +46,19 @@ func E12(quick bool, g *guard.G) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			solve := func(tune belief.Tuning) (sa bool, st belief.Stats, d time.Duration, err error) {
-				ed, err := timed(func() error {
-					var err error
-					if f.cyclic {
-						sa, st, err = belief.SolveCyclicTuned(n, 0, game.Options{Guard: g}, tune)
-					} else {
-						sa, st, err = belief.SolveAcyclicTuned(n, 0, game.Options{Guard: g}, tune)
-					}
-					return err
-				})
-				return sa, st, ed, err
-			}
-			sa, st, ed, err := solve(belief.Tuning{})
-			if err != nil {
-				return t, err
-			}
-			oraSa, _, od, err := solve(oracle)
+			var (
+				sa bool
+				st belief.Stats
+			)
+			ed, err := timed(func() error {
+				var err error
+				if f.cyclic {
+					sa, st, err = belief.SolveCyclic(n, 0, game.Options{Guard: g})
+				} else {
+					sa, st, err = belief.SolveAcyclic(n, 0, game.Options{Guard: g})
+				}
+				return err
+			})
 			if err != nil {
 				return t, err
 			}
@@ -103,8 +90,7 @@ func E12(quick bool, g *guard.G) (*Table, error) {
 				agreeCell = fmt.Sprint(refSa == sa)
 			}
 			t.Add(f.name, m, n.Size(), sa, st.CtxStates, st.Beliefs, st.Positions,
-				st.AntichainHits, st.Pruned, st.Workers,
-				ed, od, fmt.Sprint(oraSa == sa), refCell, agreeCell)
+				ed, refCell, agreeCell)
 		}
 	}
 	return t, nil

@@ -45,7 +45,6 @@ func All() []Experiment {
 		{"E10", "Ablation: Theorem 3 with vs without the possibility normal form", E10},
 		{"E11", "Engine: on-the-fly joint-vector exploration vs compose-then-explore", E11},
 		{"E12", "Engine: compose-free bitset belief game vs compose-then-recurse S_a", E12},
-		{"E13", "Engine: orbit-canonical state interning vs unreduced exploration", E13},
 	}
 }
 

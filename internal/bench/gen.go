@@ -133,14 +133,12 @@ func PhilosophersPolite(m int) (*network.Network, error) {
 	return network.New(procs...)
 }
 
-// SymmetricClique builds the E13 symmetry family: a hub-and-spoke
-// network of k interchangeable leaves around a hub, with a distinguished
-// client P talking only to the hub. The k leaves are pairwise swappable
-// (relabeling ask_i/done_i), and none of those actions is owned by P, so
-// the full transposition class survives into P's dist-stabilizer
-// subgroup — the belief engine's context quotient collapses the leaf
-// vectors. P carries an extra req self-loop so it can never be mistaken
-// for a leaf by shape (the hub is symmetric between its neighbours).
+// SymmetricClique builds the hub-and-spoke family: a network of k
+// interchangeable leaves around a hub, with a distinguished client P
+// talking only to the hub. The k leaves are pairwise swappable
+// (relabeling ask_i/done_i), and none of those actions is owned by P,
+// so P's context holds k interchangeable members. P carries an extra
+// req self-loop so it is never shaped like a leaf.
 func SymmetricClique(k int) (*network.Network, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("bench: symmetric clique needs at least 2 leaves, got %d", k)

@@ -73,7 +73,7 @@ type RouterStats struct {
 	// Uptime is wall time since the router was built.
 	Uptime string `json:"uptime"`
 	// Runtime samples the router process itself, in the same shape the
-	// workers report so fspload reads one schema for both tiers.
+	// workers report, so one schema serves both tiers.
 	Runtime serve.RuntimeStats `json:"runtime"`
 }
 

@@ -6,7 +6,6 @@ import (
 	"math/bits"
 
 	"fspnet/internal/guard"
-	"fspnet/internal/symred"
 )
 
 // Interner is the visited set of joint state vectors, shared by the
@@ -195,23 +194,11 @@ type bfsFlags struct {
 // Stats are those of the last completed level on every path — including
 // a panic inside a level, which is recovered into a guard.ErrPanic
 // reason with the half-expanded level discarded.
-func (mc *machine) bfs(cyclic bool, o Options, sy *symState, done func(bfsFlags) bool) (*Interner, bfsFlags, Stats, error) {
+func (mc *machine) bfs(cyclic bool, o Options, done func(bfsFlags) bool) (*Interner, bfsFlags, Stats, error) {
 	in := mc.newInterner()
 	limit := maxStates(o)
 	g := o.Guard
-	start := mc.startVec()
-	var cz *symred.Canonizer
-	if sy != nil {
-		// An automorphism fixes every component's start state, so the
-		// joint start is its own orbit representative; canonicalize anyway
-		// so the invariant "everything interned is canonical" has a single
-		// enforcement point.
-		cz = sy.grp.NewCanonizer()
-		canon := make([]uint32, mc.m)
-		cz.Canon(start, canon)
-		start = canon
-	}
-	in.Intern(start)
+	in.Intern(mc.startVec())
 	var flags bfsFlags
 	stats := Stats{States: 1}
 	frontier := in.from(0)
@@ -226,7 +213,7 @@ func (mc *machine) bfs(cyclic bool, o Options, sy *symState, done func(bfsFlags)
 			return in, flags, stats, fmt.Errorf("explore: %d joint states interned: %w", stats.States, ErrBudget)
 		}
 		next := in.Len()
-		lv, err := mc.expandLevel(cyclic, in, sy, cz, frontier, g, stats.Depth)
+		lv, err := mc.expandLevel(cyclic, in, frontier, g, stats.Depth)
 		if err != nil {
 			return in, flags, stats, fmt.Errorf("explore: %w", err)
 		}
@@ -234,7 +221,6 @@ func (mc *machine) bfs(cyclic bool, o Options, sy *symState, done func(bfsFlags)
 		flags.stuckNonLeaf = flags.stuckNonLeaf || lv.flags.stuckNonLeaf
 		flags.blocked = flags.blocked || lv.flags.blocked
 		stats.Moves += lv.moves
-		stats.OrbitHits += lv.orbitHits
 		fresh := in.Len() - next
 		stats.States += fresh
 		stats.Depth++
@@ -249,20 +235,14 @@ func (mc *machine) bfs(cyclic bool, o Options, sy *symState, done func(bfsFlags)
 // levelOut is what one BFS level contributes, merged only once the
 // level completes.
 type levelOut struct {
-	flags     bfsFlags
-	moves     int64
-	orbitHits int64
+	flags bfsFlags
+	moves int64
 }
 
 // expandLevel expands the frontier's vectors (flat, m words each) in id
-// order, interning successors and classifying moveless vectors. With
-// symmetry active, successors are canonicalized before interning — the
-// arena then holds orbit representatives only — and a stuck
-// representative is classified once per position the distinguished
-// process's role can occupy in it (every such raw stuck state is
-// genuinely reachable: automorphisms fix the start vector). A panic,
+// order, interning successors and classifying moveless vectors. A panic,
 // injected or genuine, is recovered into a guard.ErrPanic reason.
-func (mc *machine) expandLevel(cyclic bool, in *Interner, sy *symState, cz *symred.Canonizer, frontier []uint32, g *guard.G, depth int) (out levelOut, err error) {
+func (mc *machine) expandLevel(cyclic bool, in *Interner, frontier []uint32, g *guard.G, depth int) (out levelOut, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("%w: at BFS level %d: %v", guard.ErrPanic, depth, r)
@@ -272,20 +252,10 @@ func (mc *machine) expandLevel(cyclic bool, in *Interner, sy *symState, cz *symr
 		panic("faultinject: synthetic BFS panic")
 	}
 	scratch := make([]uint32, mc.m)
-	var canon []uint32
-	if cz != nil {
-		canon = make([]uint32, mc.m)
-	}
 	for v := 0; v < len(frontier); v += mc.m {
 		vec := frontier[v : v+mc.m]
 		moved := mc.expand(vec, scratch, func(succ []uint32, kind int) bool {
 			out.moves++
-			if cz != nil {
-				if cz.Canon(succ, canon) {
-					out.orbitHits++
-				}
-				succ = canon
-			}
 			in.Intern(succ)
 			return true
 		})
@@ -297,14 +267,6 @@ func (mc *machine) expandLevel(cyclic bool, in *Interner, sy *symState, cz *symr
 			switch {
 			case cyclic:
 				out.flags.blocked = true
-			case sy != nil:
-				for _, j := range sy.distOrbit {
-					if sy.procLeaf[j][vec[j]] {
-						out.flags.stuckLeaf = true
-					} else {
-						out.flags.stuckNonLeaf = true
-					}
-				}
 			case mc.distLeaf[vec[mc.dist]]:
 				out.flags.stuckLeaf = true
 			default:

@@ -35,7 +35,6 @@ import (
 	"fspnet/internal/fsp"
 	"fspnet/internal/guard"
 	"fspnet/internal/network"
-	"fspnet/internal/symred"
 )
 
 var (
@@ -68,35 +67,29 @@ type Options struct {
 	// *guard.LimitErr whose partial verdict reports level-accurate stats
 	// plus any predicate already decided by the monotone flags.
 	Guard *guard.G
-	// Tune carries the symmetry-reduction knobs.
+	// Tune carries the oracle switch.
 	Tune Tuning
 }
 
-// Tuning switches the symmetry machinery off for oracle runs. The
-// default (both false) is the fast path; either knob changes only how
-// the verdict is computed, never the verdict itself.
+// Tuning selects engine variants for oracle runs. The zero value is the
+// production default; a knob changes only how the verdict is computed,
+// never the verdict itself.
 type Tuning struct {
-	// NoSymmetry disables orbit-canonical interning: every joint vector
-	// in an automorphism orbit is explored separately, as the engine did
-	// before symmetry reduction. The differential oracle switch.
+	// Deprecated: ignored. The engine interns every joint vector.
 	NoSymmetry bool
 	// NoProbe disables the bounded witness probes that can decide the
-	// cyclic predicates before any exhaustive exploration — useful for
-	// measuring the quotient itself.
+	// cyclic predicates before any exhaustive exploration: the
+	// exhaustive oracle switch.
 	NoProbe bool
 }
 
 // Stats describes one engine run. All fields are deterministic functions
 // of the network, the distinguished process, MaxStates, and Tune.
 type Stats struct {
-	States int   // interned joint vectors (peak = total; nothing is evicted)
-	Depth  int   // completed BFS levels
-	Moves  int64 // joint transitions enumerated
-
-	GroupOrder  int   // discovered automorphism elements incl. identity (1 = trivial)
-	OrbitHits   int64 // successor canonicalizations that changed the vector
-	SymStates   int64 // extra raw states the interned representatives stand for
-	ProbeStates int   // raw states visited by the witness probes
+	States      int   // interned joint vectors (peak = total; nothing is evicted)
+	Depth       int   // completed BFS levels
+	Moves       int64 // joint transitions enumerated
+	ProbeStates int   // vectors visited by the witness probes
 }
 
 // Result carries the two engine-decided predicates and the run stats.
@@ -158,21 +151,13 @@ func acyclic(n *network.Network, i int, o Options, needSu, needSc bool) (Result,
 	if err := mc.checkAcyclicShape(maxStates(o), o.Guard); err != nil {
 		return Result{}, limitErr(o.Guard, err, "shape", false, bfsFlags{}, Stats{})
 	}
-	sy := mc.newSymState(n, o)
-	in, flags, stats, err := mc.bfs(false, o, sy, func(f bfsFlags) bool {
+	_, flags, stats, err := mc.bfs(false, o, func(f bfsFlags) bool {
 		// S_u is decided early only by a counterexample, S_c only by a
 		// witness; completion decides the rest.
 		return (!needSu || f.stuckNonLeaf) && (!needSc || f.stuckLeaf)
 	})
-	stats.GroupOrder = sy.order()
 	if err != nil {
 		return Result{Stats: stats}, limitErr(o.Guard, err, "bfs", false, flags, stats)
-	}
-	if sy != nil {
-		stats.SymStates, err = mc.symStatesPass(in, sy, o.Guard)
-		if err != nil {
-			return Result{Stats: stats}, limitErr(o.Guard, err, "canon", false, flags, stats)
-		}
 	}
 	return Result{Su: !flags.stuckNonLeaf, Sc: flags.stuckLeaf, Stats: stats}, nil
 }
@@ -201,14 +186,13 @@ func cyclic(n *network.Network, i int, o Options, needSu, needSc bool) (Result, 
 	if err := mc.checkSection4P(); err != nil {
 		return Result{}, err
 	}
-	sy := mc.newSymState(n, o)
-	res := Result{Stats: Stats{GroupOrder: sy.order()}}
+	var res Result
 	suKnown, scKnown := false, false
 	if !o.Tune.NoProbe {
 		// The bounded witness probes can decide ¬S_u (a context τ-cycle or
 		// a blocking vector) and S_c (a cycle through a P-handshake) from
-		// raw witnesses near the start, without exhausting the joint
-		// space; on the fully symmetric families they decide instantly.
+		// witnesses near the start, without exhausting the joint space;
+		// on the philosopher rings they decide instantly.
 		pr, perr := mc.probeCyclic(needSu, needSc, o.Guard)
 		res.Stats.ProbeStates = pr.states
 		if pr.suFalse {
@@ -226,39 +210,23 @@ func cyclic(n *network.Network, i int, o Options, needSu, needSc bool) (Result, 
 	}
 	needSuX := needSu && !suKnown // predicates exhaustive exploration still owes
 	needScX := needSc && !scKnown
-	in, flags, stats, err := mc.bfs(true, o, sy, func(f bfsFlags) bool {
+	in, flags, stats, err := mc.bfs(true, o, func(f bfsFlags) bool {
 		// S_c needs the full reachable graph; S_u alone can stop at the
 		// first blocking witness.
 		return !needScX && (!needSuX || f.blocked)
 	})
-	res.Stats.States, res.Stats.Depth = stats.States, stats.Depth
-	res.Stats.Moves, res.Stats.OrbitHits = stats.Moves, stats.OrbitHits
-	stats = res.Stats
+	stats.ProbeStates = res.Stats.ProbeStates
+	res.Stats = stats
 	if suKnown {
 		flags.blocked = true // the probe's ¬S_u witness is as good as a blocked vector
 	}
 	if err != nil {
 		return res, limitErr(o.Guard, err, "bfs", true, flags, stats)
 	}
-	var sg *symGraph
-	adjacency := func() error {
-		if sy != nil && sg == nil {
-			sg, err = mc.buildSymGraph(in, sy, o.Guard)
-			return err
-		}
-		return nil
-	}
 	if needSu {
 		blocked := flags.blocked
 		if !blocked && mc.m >= 3 {
-			if err := adjacency(); err != nil {
-				return res, limitErr(o.Guard, err, "sym-adj", true, flags, stats)
-			}
-			if sy != nil {
-				blocked, err = mc.ctxTauCycleSym(sg, sy, o.Guard)
-			} else {
-				blocked, err = mc.ctxTauCycle(in, o.Guard)
-			}
+			blocked, err = mc.ctxTauCycle(in, o.Guard)
 			if err != nil {
 				return res, limitErr(o.Guard, err, "tau-cycle", true, flags, stats)
 			}
@@ -266,20 +234,7 @@ func cyclic(n *network.Network, i int, o Options, needSu, needSc bool) (Result, 
 		res.Su = !blocked
 	}
 	if needScX {
-		if err := adjacency(); err != nil {
-			lerr := limitErr(o.Guard, err, "sym-adj", true, flags, stats)
-			var le *guard.LimitErr
-			if errors.As(lerr, &le) && needSu {
-				le.Partial.Su = guard.Of(res.Su)
-			}
-			return res, lerr
-		}
-		var sc bool
-		if sy != nil {
-			sc, err = mc.handshakeCycleSym(sg, sy, o.Guard)
-		} else {
-			sc, err = mc.handshakeCycle(in, o.Guard)
-		}
+		sc, err := mc.handshakeCycle(in, o.Guard)
 		if err != nil {
 			lerr := limitErr(o.Guard, err, "handshake-cycle", true, flags, stats)
 			var le *guard.LimitErr
@@ -290,24 +245,6 @@ func cyclic(n *network.Network, i int, o Options, needSu, needSc bool) (Result, 
 			return res, lerr
 		}
 		res.Sc = sc
-	}
-	if sy != nil {
-		res.Stats.SymStates, err = mc.symStatesPass(in, sy, o.Guard)
-		if err != nil {
-			lerr := limitErr(o.Guard, err, "canon", true, flags, res.Stats)
-			var le *guard.LimitErr
-			if errors.As(lerr, &le) {
-				// Both predicates are fully decided by now; only the stats
-				// sweep was cut short.
-				if needSu {
-					le.Partial.Su = guard.Of(res.Su)
-				}
-				if needSc {
-					le.Partial.Sc = guard.Of(res.Sc)
-				}
-			}
-			return res, lerr
-		}
 	}
 	return res, nil
 }
@@ -480,17 +417,6 @@ func (mc *machine) startVec() []uint32 {
 // kind; returning false stops the enumeration. expand reports whether any
 // move exists, even if fn stopped early.
 func (mc *machine) expand(vec, scratch []uint32, fn func(succ []uint32, kind int) bool) bool {
-	return mc.expandFull(vec, scratch, func(succ []uint32, kind int, pa, pb int32) bool {
-		return fn(succ, kind)
-	})
-}
-
-// expandFull is expand additionally reporting the participating process
-// indices: a τ-move carries (pa, −1), a handshake the two owners (pa,
-// pb) with pa < pb. The symmetry-reduced cycle passes need participants
-// to classify an edge against the tracked process, which under the
-// quotient is no longer always mc.dist.
-func (mc *machine) expandFull(vec, scratch []uint32, fn func(succ []uint32, kind int, pa, pb int32) bool) bool {
 	moved := false
 	for j := 0; j < mc.m; j++ {
 		kind := moveCtxTau
@@ -501,7 +427,7 @@ func (mc *machine) expandFull(vec, scratch []uint32, fn func(succ []uint32, kind
 			moved = true
 			copy(scratch, vec)
 			scratch[j] = to
-			if !fn(scratch, kind, int32(j), -1) {
+			if !fn(scratch, kind) {
 				return true
 			}
 		}
@@ -531,7 +457,7 @@ func (mc *machine) expandFull(vec, scratch []uint32, fn func(succ []uint32, kind
 					copy(scratch, vec)
 					scratch[j] = ts[xi].to
 					scratch[k] = ps[pi].to
-					if !fn(scratch, kind, int32(j), int32(k)) {
+					if !fn(scratch, kind) {
 						return true
 					}
 				}
@@ -540,56 +466,6 @@ func (mc *machine) expandFull(vec, scratch []uint32, fn func(succ []uint32, kind
 		}
 	}
 	return moved
-}
-
-// symState is one run's symmetry apparatus: the verified automorphism
-// elements, the orbit of the distinguished process (the positions its
-// role can occupy in a canonical vector), and per-orbit-member leaf
-// tables for classifying stuck representatives.
-type symState struct {
-	grp       *symred.Group
-	distOrbit []int32
-	jIdx      []int32  // process index → position in distOrbit, −1 elsewhere
-	procLeaf  [][]bool // for j in distOrbit: procLeaf[j][s] = state s of process j is a leaf
-}
-
-// newSymState discovers the automorphism group and returns nil when the
-// group is trivial or symmetry is tuned off — the nil receiver is the
-// identity-canonicalization fast path everywhere.
-func (mc *machine) newSymState(n *network.Network, o Options) *symState {
-	if o.Tune.NoSymmetry {
-		return nil
-	}
-	grp := symred.Discover(n)
-	if grp.Trivial() {
-		return nil
-	}
-	sy := &symState{grp: grp, distOrbit: grp.Orbit(mc.dist)}
-	sy.jIdx = make([]int32, mc.m)
-	for i := range sy.jIdx {
-		sy.jIdx[i] = -1
-	}
-	for di, j := range sy.distOrbit {
-		sy.jIdx[j] = int32(di)
-	}
-	sy.procLeaf = make([][]bool, mc.m)
-	for _, j := range sy.distOrbit {
-		p := mc.procs[j]
-		pl := make([]bool, p.NumStates())
-		for s := range pl {
-			pl[s] = p.IsLeaf(fsp.State(s))
-		}
-		sy.procLeaf[j] = pl
-	}
-	return sy
-}
-
-// order is GroupOrder with the nil-is-trivial convention.
-func (sy *symState) order() int {
-	if sy == nil {
-		return 1
-	}
-	return sy.grp.Order()
 }
 
 // checkSection4P validates the Section 4 assumption on the distinguished

@@ -75,6 +75,17 @@ func (M *Machine) CheckAcyclicShape(budget int, g *guard.G) error {
 	return M.mc.checkAcyclicShape(budget, g)
 }
 
+// ProbeCtxDivergence runs the cyclic probes' context-divergence walk:
+// depth-first over the context τ-moves from the joint start vector,
+// under a fixed vector budget, reporting whether it closed a context
+// τ-cycle (only when m ≥ 3). visit, when non-nil, sees each vector the
+// walk enters with whether it has no context τ-move; returning false
+// stops the walk. A governor stop is returned unwrapped, with the
+// vectors visited so far.
+func (M *Machine) ProbeCtxDivergence(g *guard.G, visit func(vec []uint32, stable bool) bool) (CtxProbe, error) {
+	return M.mc.probeCtxDivergence(g, visit)
+}
+
 // CtxMoves enumerates the moves of the composed context at the joint
 // vector vec (the distinguished component is carried along frozen):
 // member τ and context-internal handshakes — the context's τ-moves —

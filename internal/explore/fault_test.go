@@ -24,8 +24,8 @@ func faultOpts(h guard.Hook) explore.Options {
 	return explore.Options{Guard: guard.New(guard.Config{Hook: h})}
 }
 
-// faultOptsTuned is faultOpts with explicit symmetry tuning, for sweeps
-// that must reach the exhaustive passes the witness probes would skip.
+// faultOptsTuned is faultOpts with an explicit tuning, for sweeps that
+// must reach the exhaustive passes the witness probes would skip.
 func faultOptsTuned(h guard.Hook, tune explore.Tuning) explore.Options {
 	o := faultOpts(h)
 	o.Tune = tune
@@ -141,55 +141,41 @@ func TestFaultInjectCyclicCancelSweep(t *testing.T) {
 }
 
 // TestFaultInjectCyclicPassBoundaries cancels at the boundary of each
-// cyclic post-pass, in both the symmetry-reduced shape (sym-adj builds
-// the quotient adjacency, the cycle passes run on the j-tracking cover,
-// canon sums the collapsed states) and the unreduced legacy shape. The
-// handshake-cycle pass always runs when S_c is wanted, so that
-// injection must fire; a τ-cycle injection may be skipped (the pass is
-// elided once a blocking witness decides ¬S_u), in which case the run
-// must complete with the full verdict.
+// cyclic post-pass. The handshake-cycle pass always runs when S_c is
+// wanted, so that injection must fire; a τ-cycle injection may be
+// skipped (the pass is elided once a blocking witness decides ¬S_u), in
+// which case the run must complete with the full verdict.
 func TestFaultInjectCyclicPassBoundaries(t *testing.T) {
 	n := cyclicFixture(t)
-	for _, tc := range []struct {
-		name   string
-		tune   explore.Tuning
-		passes []string
-	}{
-		{"sym", explore.Tuning{NoProbe: true}, []string{"sym-adj", "tau-cycle", "handshake-cycle", "canon"}},
-		{"legacy", explore.Tuning{NoProbe: true, NoSymmetry: true}, []string{"tau-cycle", "handshake-cycle"}},
-	} {
-		full, err := explore.AnalyzeCyclic(n, 0, explore.Options{Tune: tc.tune})
-		if err != nil {
-			t.Fatal(err)
+	tune := explore.Tuning{NoProbe: true}
+	full, err := explore.AnalyzeCyclic(n, 0, explore.Options{Tune: tune})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pass := range []string{"tau-cycle", "handshake-cycle"} {
+		res, err := explore.AnalyzeCyclic(n, 0, faultOptsTuned(faultinject.CancelAt(pass, 0), tune))
+		if err == nil {
+			if pass == "handshake-cycle" {
+				t.Fatalf("%s injection never fired", pass)
+			}
+			if res.Su != full.Su || res.Sc != full.Sc {
+				t.Fatalf("%s: completed run disagrees with full run", pass)
+			}
+			continue
 		}
-		for _, pass := range tc.passes {
-			res, err := explore.AnalyzeCyclic(n, 0, faultOptsTuned(faultinject.CancelAt(pass, 0), tc.tune))
-			if err == nil {
-				if pass == "handshake-cycle" || pass == "sym-adj" || pass == "canon" {
-					t.Fatalf("%s/%s injection never fired", tc.name, pass)
-				}
-				if res.Su != full.Su || res.Sc != full.Sc {
-					t.Fatalf("%s/%s: completed run disagrees with full run", tc.name, pass)
-				}
-				continue
-			}
-			var le *guard.LimitErr
-			if !errors.As(err, &le) || !errors.Is(err, guard.ErrCanceled) {
-				t.Fatalf("%s/%s: error %v, want LimitErr wrapping ErrCanceled", tc.name, pass, err)
-			}
-			if le.Partial.Pass != pass {
-				t.Errorf("%s/%s: partial reports pass=%s", tc.name, pass, le.Partial.Pass)
-			}
-			if le.Partial.Su.Contradicts(full.Su) || le.Partial.Sc.Contradicts(full.Sc) {
-				t.Errorf("%s/%s: partial (%s,%s) contradicts full (%v,%v)",
-					tc.name, pass, le.Partial.Su, le.Partial.Sc, full.Su, full.Sc)
-			}
-			if pass == "handshake-cycle" && !le.Partial.Su.Known() {
-				t.Errorf("%s: handshake-cycle partial must carry the already-decided S_u", tc.name)
-			}
-			if pass == "canon" && (!le.Partial.Su.Known() || !le.Partial.Sc.Known()) {
-				t.Errorf("%s: canon partial must carry the fully decided verdict", tc.name)
-			}
+		var le *guard.LimitErr
+		if !errors.As(err, &le) || !errors.Is(err, guard.ErrCanceled) {
+			t.Fatalf("%s: error %v, want LimitErr wrapping ErrCanceled", pass, err)
+		}
+		if le.Partial.Pass != pass {
+			t.Errorf("%s: partial reports pass=%s", pass, le.Partial.Pass)
+		}
+		if le.Partial.Su.Contradicts(full.Su) || le.Partial.Sc.Contradicts(full.Sc) {
+			t.Errorf("%s: partial (%s,%s) contradicts full (%v,%v)",
+				pass, le.Partial.Su, le.Partial.Sc, full.Su, full.Sc)
+		}
+		if pass == "handshake-cycle" && !le.Partial.Su.Known() {
+			t.Errorf("handshake-cycle partial must carry the already-decided S_u")
 		}
 	}
 }

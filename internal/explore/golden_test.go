@@ -39,11 +39,11 @@ func goldenProcs(m int) []int {
 
 // TestGoldenFixtureStats pins the verdicts and every deterministic
 // explore.Stats counter for the goldenProcs of every testdata/*.fsp
-// fixture and a few generated tree networks, under both semantics, in three engine
-// configurations: the default (probes + symmetry quotient), the quotient
-// without probes, and the unreduced oracle, all under the same state
-// cap. Any change to how the BFS interns, orders, or counts states shows
-// up as a golden diff.
+// fixture and a few generated tree networks, under both semantics, in
+// two engine configurations: the default (probes first) and the
+// probe-free exhaustive oracle, both under the same state cap. Any
+// change to how the BFS interns, orders, or counts states shows up as a
+// golden diff.
 func TestGoldenFixtureStats(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.fsp"))
 	if err != nil {
@@ -58,8 +58,7 @@ func TestGoldenFixtureStats(t *testing.T) {
 		opts explore.Options
 	}{
 		{"default", explore.Options{MaxStates: goldenMaxStates}},
-		{"noprobe", explore.Options{MaxStates: goldenMaxStates, Tune: explore.Tuning{NoProbe: true}}},
-		{"oracle", explore.Options{MaxStates: goldenMaxStates, Tune: explore.Tuning{NoProbe: true, NoSymmetry: true}}},
+		{"oracle", explore.Options{MaxStates: goldenMaxStates, Tune: explore.Tuning{NoProbe: true}}},
 	}
 	type fixture struct {
 		name string
@@ -134,6 +133,6 @@ func renderResult(res explore.Result, err error) string {
 		verdict = "err=" + err.Error()
 	}
 	st := res.Stats
-	return fmt.Sprintf("%s | states=%d depth=%d moves=%d group=%d orbit=%d sym=%d probe=%d",
-		verdict, st.States, st.Depth, st.Moves, st.GroupOrder, st.OrbitHits, st.SymStates, st.ProbeStates)
+	return fmt.Sprintf("%s | states=%d depth=%d moves=%d probe=%d",
+		verdict, st.States, st.Depth, st.Moves, st.ProbeStates)
 }

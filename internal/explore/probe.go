@@ -13,14 +13,17 @@ import (
 //	        a reachable vector with no joint move at all (blocking);
 //	 S_c — a reachable cycle containing a P-handshake edge.
 //
-// On the fully symmetric families those witnesses sit within a handful
-// of moves of the start (one philosopher's eat cycle), while the raw
-// joint space is astronomically large — so a deterministic depth-first
-// probe with a small node budget decides philosophers20 instantly where
-// even the quotiented exhaustive BFS could not finish. The probes walk
-// the RAW space (no canonicalization), so their witnesses are genuine
-// runs and need no symmetry soundness argument. A probe that exhausts
-// its budget decides nothing and the exhaustive passes take over.
+// On the philosopher rings those witnesses sit within a handful of
+// moves of the start (one philosopher's eat cycle), while the joint
+// space is astronomically large — so a deterministic depth-first probe
+// with a small node budget decides philosophers20 instantly where the
+// exhaustive BFS could not finish. Every witness is a genuine run of the
+// joint system. A probe that exhausts its budget decides nothing and
+// the exhaustive passes take over.
+//
+// The context-divergence walk is shared with internal/game/belief,
+// whose cyclic probe walks the same context τ-moves from the same start
+// (Machine.ProbeCtxDivergence).
 
 // probeBudget bounds the visited vectors of each probe walk.
 const probeBudget = 4096
@@ -28,7 +31,7 @@ const probeBudget = 4096
 // probeResult carries what the probes decided. Only the witnessed
 // polarities can ever be set; the opposite polarities need exhaustion.
 type probeResult struct {
-	states  int  // raw vectors visited across both walks
+	states  int  // vectors visited across both walks
 	suFalse bool // ¬S_u witnessed
 	scTrue  bool // S_c witnessed
 }
@@ -45,9 +48,12 @@ func (mc *machine) probeCyclic(needSu, needSc bool, g *guard.G) (probeResult, er
 	// reachable silent divergence of the context — the ⊥ rule, which only
 	// applies when the context is a real composition (m ≥ 3).
 	if needSu && mc.m >= 3 {
-		if err := mc.probeCtxCycle(&pr, g); err != nil {
-			return pr, err
+		cp, err := mc.probeCtxDivergence(g, nil)
+		pr.states += cp.States
+		if err != nil {
+			return pr, fmt.Errorf("explore: probe pass: %w", err)
 		}
+		pr.suFalse = cp.Diverges
 	}
 	// Walk 2: gray-path DFS over the full joint relation. Every back-edge
 	// closes a stack cycle that either contains a P-handshake edge (an
@@ -72,32 +78,55 @@ func probePoll(g *guard.G, visited int) error {
 	return nil
 }
 
-// probeCtxCycle looks for a context-move cycle reachable from the start.
-func (mc *machine) probeCtxCycle(pr *probeResult, g *guard.G) error {
+// CtxProbe is what one context-divergence walk found.
+type CtxProbe struct {
+	States   int  // vectors visited
+	Diverges bool // a context τ-cycle is reachable from the start (m ≥ 3)
+}
+
+// probeCtxDivergence walks the context τ-moves — member τ and
+// context-internal handshakes, the moves that leave the distinguished
+// process in place — depth-first from the joint start vector, under a
+// budget of probeBudget vectors. A back-edge to a vector on the current
+// path closes a context τ-cycle: a silent divergence of the context,
+// which counts only when the context really composes (m ≥ 3). visit,
+// when non-nil, sees each vector as the walk enters it, with whether it
+// has no context τ-move; returning false stops the walk. The returned
+// error is the governor's own, polled under pass "probe" every
+// pollStride vectors. Deterministic: fixed expansion order, fixed
+// budget.
+func (mc *machine) probeCtxDivergence(g *guard.G, visit func(vec []uint32, stable bool) bool) (CtxProbe, error) {
 	const black = -2
+	var cp CtxProbe
 	in := mc.newInterner()
 	var depth []int32 // per id: gray depth, or black
 	scratch := make([]uint32, mc.m)
-	succs := func(vec []uint32) []uint32 { // flat successor vectors
-		var out []uint32
-		mc.expand(vec, scratch, func(succ []uint32, kind int) bool {
-			if kind == moveCtxTau || kind == moveCtxHandshake {
-				out = append(out, succ...)
+	type frame struct {
+		id   int32
+		succ []uint32 // flat context τ-successor vectors
+		next int      // offset of the next successor in succ
+	}
+	// enter expands one vector's context τ-moves into a frame and
+	// reports whether the walk goes on.
+	enter := func(id int32, vec []uint32) (frame, bool) {
+		f := frame{id: id}
+		mc.ctxExpandLabeled(vec, scratch, func(succ []uint32, aid int32) bool {
+			if aid < 0 {
+				f.succ = append(f.succ, succ...)
 			}
 			return true
 		})
-		return out
-	}
-	type frame struct {
-		id   int32
-		succ []uint32
-		next int // offset of the next successor in succ
+		return f, visit == nil || visit(vec, len(f.succ) == 0)
 	}
 	start := mc.startVec()
 	in.Intern(start)
 	depth = append(depth, 0)
-	pr.states++
-	stack := []frame{{0, succs(start), 0}}
+	cp.States++
+	f, ok := enter(0, start)
+	if !ok {
+		return cp, nil
+	}
+	stack := []frame{f}
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
 		if f.next >= len(f.succ) {
@@ -109,23 +138,29 @@ func (mc *machine) probeCtxCycle(pr *probeResult, g *guard.G) error {
 		f.next += mc.m
 		id, fresh := in.Intern(vec)
 		if !fresh {
-			if depth[id] >= 0 {
-				pr.suFalse = true
-				return nil
+			if depth[id] >= 0 && mc.m >= 3 {
+				cp.Diverges = true
+				return cp, nil
 			}
 			continue
 		}
 		if len(depth) >= probeBudget {
-			return nil // budget spent without a witness: undecided
+			return cp, nil // budget spent without a witness: undecided
 		}
-		pr.states++
-		if err := probePoll(g, len(depth)); err != nil {
-			return err
+		cp.States++
+		if len(depth)%pollStride == 0 {
+			if err := g.Poll("probe", len(depth)/pollStride); err != nil {
+				return cp, err
+			}
 		}
 		depth = append(depth, int32(len(stack)))
-		stack = append(stack, frame{id, succs(vec), 0})
+		nf, ok := enter(id, vec)
+		if !ok {
+			return cp, nil
+		}
+		stack = append(stack, nf)
 	}
-	return nil
+	return cp, nil
 }
 
 // probeFullCycle walks the full joint relation, classifying every

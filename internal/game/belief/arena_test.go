@@ -1,120 +1,26 @@
-// White-box concurrency regression tests for the belief arena and step
-// memo. The PR 5 arena interned through a single shared key scratch and
-// was documented single-threaded-only; the sharded arena must tolerate
-// concurrent interns of equal and distinct sets (run under -race) and
-// keep ids consistent: one id per distinct set, contents retrievable
-// after later appends reallocate a shard's backing array.
+// White-box tests for the belief arena: interned bitsets are immutable
+// and stay retrievable after later appends reallocate the data array.
 package belief
 
-import (
-	"sync"
-	"testing"
-)
-
-// TestArenaConcurrentIntern hammers the arena from several goroutines,
-// each with its own scratch, interning an overlapping family of bitsets.
-// Every goroutine must observe the same id for the same set.
-func TestArenaConcurrentIntern(t *testing.T) {
-	const (
-		words   = 3
-		workers = 8
-		sets    = 400
-	)
-	mk := func(i int) []uint64 {
-		return []uint64{uint64(i) * 0x9e3779b97f4a7c15, uint64(i), ^uint64(i)}
-	}
-	ar := newArena(words)
-	got := make([][]int32, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sc := newScratch(words)
-			ids := make([]int32, sets)
-			for i := 0; i < sets; i++ {
-				copy(sc.buf, mk(i))
-				ids[i], _ = ar.intern(sc.kb, sc.buf)
-			}
-			got[w] = ids
-		}(w)
-	}
-	wg.Wait()
-	if ar.size() != sets {
-		t.Fatalf("arena holds %d sets, want %d", ar.size(), sets)
-	}
-	for w := 1; w < workers; w++ {
-		for i := 0; i < sets; i++ {
-			if got[w][i] != got[0][i] {
-				t.Fatalf("worker %d got id %d for set %d, worker 0 got %d", w, got[w][i], i, got[0][i])
-			}
-		}
-	}
-	// Slices handed out by set must stay valid after the appends above
-	// grew the shards: contents are immutable, so they must match the
-	// original words exactly.
-	for i := 0; i < sets; i++ {
-		s := ar.set(got[0][i])
-		for k, want := range mk(i) {
-			if s[k] != want {
-				t.Fatalf("set %d word %d = %#x, want %#x", i, k, s[k], want)
-			}
-		}
-	}
-}
+import "testing"
 
 // TestArenaSetAliasStable pins the append-only aliasing contract
 // explicitly: a slice taken early must survive enough later interns to
-// force every shard's backing array through several reallocations.
+// force the data array through several reallocations.
 func TestArenaSetAliasStable(t *testing.T) {
 	const words = 2
 	ar := newArena(words)
-	sc := newScratch(words)
-	copy(sc.buf, []uint64{0xdeadbeef, 0xfeedface})
-	bid, fresh := ar.intern(sc.kb, sc.buf)
+	buf := []uint64{0xdeadbeef, 0xfeedface}
+	bid, fresh := ar.intern(buf)
 	if !fresh {
 		t.Fatal("first intern not fresh")
 	}
 	early := ar.set(bid)
 	for i := 1; i < 4096; i++ {
-		sc.buf[0], sc.buf[1] = uint64(i), uint64(i*3)
-		ar.intern(sc.kb, sc.buf)
+		buf[0], buf[1] = uint64(i), uint64(i*3)
+		ar.intern(buf)
 	}
 	if early[0] != 0xdeadbeef || early[1] != 0xfeedface {
 		t.Fatalf("early slice corrupted after growth: %#x %#x", early[0], early[1])
-	}
-}
-
-// TestStepTableConcurrent races get/put over a shared key range; the
-// memo must stay consistent (a key only ever maps to the value written
-// for it) under -race.
-func TestStepTableConcurrent(t *testing.T) {
-	tab := newStepTable()
-	const (
-		workers = 8
-		keys    = 512
-	)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := uint64(0); k < keys; k++ {
-				if v, ok := tab.get(k); ok {
-					if v != int32(k*7) {
-						t.Errorf("key %d = %d, want %d", k, v, int32(k*7))
-						return
-					}
-					continue
-				}
-				tab.put(k, int32(k*7))
-			}
-		}()
-	}
-	wg.Wait()
-	for k := uint64(0); k < keys; k++ {
-		if v, ok := tab.get(k); !ok || v != int32(k*7) {
-			t.Fatalf("key %d = %d (present %v), want %d", k, v, ok, int32(k*7))
-		}
 	}
 }

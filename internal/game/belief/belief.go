@@ -13,26 +13,17 @@
 // dense-id Interner, so memory is proportional to the context P can
 // observe, never to Q's whole reachable space or to the intermediate
 // products a ‖ fold builds). Each belief is a word-packed []uint64
-// bitset over those ids. Beliefs are interned in an FNV-sharded arena
-// whose equality is a memcmp of the packed words, and each (belief,
-// action) step — one visible move followed by τ-closure — is computed
-// once and memoized.
+// bitset over those ids. Beliefs are interned in an arena whose
+// equality is a memcmp of the packed words, and each (belief, action)
+// step — one visible move followed by τ-closure — is computed once and
+// memoized.
 //
 // The acyclic game is evaluated by an iterative worklist (an explicit
 // DFS stack over the position DAG; P is acyclic, so positions cannot
 // repeat along a play), and the Section 4 cyclic game by a greatest
 // fixpoint over the same interned position graph, eliminated with
-// counter-based backward propagation. Both solvers prune positions by
-// subsumption against per-P-state antichains of known-winning (maximal)
-// and known-losing (minimal) beliefs — wins are downward closed and
-// losses upward closed in the belief, so a word-wise compare against the
-// packed rows resolves a position without expansion (see antichain.go).
-// The cyclic reachability sweep and fixpoint elimination optionally
-// shard across worker goroutines (Tuning.Workers) with level-
-// synchronized barriers that merge results in position order, so
-// verdicts, statistics, and every partial verdict reported at a barrier
-// are deterministic and independent of the worker count; the acyclic DFS
-// is sequential.
+// counter-based backward propagation. Every pass is sequential, so
+// verdicts, statistics, and every partial verdict are deterministic.
 //
 // Cyclic semantics. The reference oracle folds the context with
 // ComposeAllCyclic, which inserts a divergence leaf ⊥ under every
@@ -54,14 +45,12 @@ package belief
 
 import (
 	"fmt"
-	"runtime"
 
 	"fspnet/internal/explore"
 	"fspnet/internal/fsp"
 	"fspnet/internal/game"
 	"fspnet/internal/guard"
 	"fspnet/internal/network"
-	"fspnet/internal/symred"
 )
 
 // pollStride amortizes governor polls inside the sequential worklists:
@@ -71,69 +60,34 @@ const pollStride = 1024
 
 // Stats describes one belief-engine run. All fields are deterministic
 // functions of the network, the distinguished process, the budget, and
-// the Tuning — including across worker counts: the parallel sweep merges
-// at deterministic barriers, so the same instance always reports the
-// same numbers.
+// the Tuning.
 type Stats struct {
 	CtxStates int // interned reachable context vectors (incl. the synthetic ⊥)
 	Beliefs   int // interned belief bitsets
 	Positions int // (P-state, belief) game positions explored (and charged)
-	// AntichainHits counts successful subsumption queries: positions
-	// resolved against a per-P-state win/lose antichain — without
-	// expansion in the acyclic DFS, without a blocked scan in the cyclic
-	// sweep.
+	// Deprecated: always 0.
 	AntichainHits int
-	// AntichainElems is the total number of antichain rows retained
-	// across all P-states when the solve finished.
-	AntichainElems int
-	// Pruned counts position expansions the antichain avoided entirely:
-	// acyclic DFS hits, each of which skips a whole subtree. Cyclic hits
-	// skip only the blocked scan (the position is dead either way), so
-	// they count toward AntichainHits but not Pruned.
+	// Deprecated: always 0.
 	Pruned int
-	// Workers is the resolved cyclic-sweep parallelism (1 for the
-	// acyclic DFS and the sequential oracle configuration).
-	Workers int
-	// GroupOrder is the discovered order of the dist-stabilizer symmetry
-	// subgroup the context quotient used (a lower bound from the element
-	// set; 1 when symmetry is off or the subgroup is trivial).
-	GroupOrder int
-	// SymHits counts context successors the canonicalization moved onto a
-	// different orbit representative during the context BFS.
-	SymHits int
-	// ProbeStates is the number of raw context vectors the cyclic witness
+	// ProbeStates is the number of context vectors the cyclic witness
 	// probe visited (0 when the probe is off or the game is acyclic).
 	ProbeStates int
 }
 
-// Tuning selects engine variants. The zero value is the production
-// default: antichain pruning on, cyclic sweep workers = GOMAXPROCS. The
-// differential oracle pins Tuning{NoAntichain: true, Workers: 1} — the
-// unpruned sequential engine.
+// Tuning selects engine variants for oracle runs. The zero value is the
+// production default; a knob changes only how the verdict is computed,
+// never the verdict itself.
 type Tuning struct {
-	// NoAntichain disables subsumption pruning against the per-P-state
-	// win/lose antichains.
+	// Deprecated: ignored. The engine keeps no antichains.
 	NoAntichain bool
-	// Workers shards the cyclic reachability sweep and fixpoint
-	// elimination; ≤ 0 means runtime.GOMAXPROCS(0), 1 runs the sweep
-	// inline. The acyclic DFS is always sequential.
+	// Deprecated: ignored. Every pass is sequential.
 	Workers int
-	// NoSymmetry disables the dist-stabilizer orbit quotient of the
-	// context graph. Like NoAntichain it changes only how the verdict is
-	// computed, never the verdict.
+	// Deprecated: ignored. The engine interns every context vector.
 	NoSymmetry bool
 	// NoProbe disables the bounded cyclic witness probe that can decide
-	// S_a = false from a handful of raw context vectors before the
-	// context is enumerated.
+	// S_a = false from a handful of context vectors before the context
+	// is enumerated: the exhaustive oracle switch.
 	NoProbe bool
-}
-
-// workers resolves the cyclic sweep parallelism.
-func (t Tuning) workers() int {
-	if t.Workers > 0 {
-		return t.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // SolveAcyclic decides the acyclic Game(P, Q) for process i of n, with Q
@@ -161,7 +115,7 @@ func SolveAcyclicTuned(n *network.Network, i int, o game.Options, t Tuning) (boo
 		}
 		return false, Stats{}, err
 	}
-	sv, err := newSolver(M, false, o, t, distSubgroup(n, i, t))
+	sv, err := newSolver(M, false, o)
 	if err != nil {
 		return false, sv.stats, err
 	}
@@ -188,26 +142,21 @@ func SolveCyclicTuned(n *network.Network, i int, o game.Options, t Tuning) (bool
 	if err := checkP(n.Process(i)); err != nil {
 		return false, Stats{}, err
 	}
-	grp := distSubgroup(n, i, t)
-	order := 1
-	if grp != nil {
-		order = grp.Order()
-	}
 	var probed int
 	if !t.NoProbe {
 		pr, perr := probeCtx(M, o.Guard)
 		probed = pr.states
 		if perr != nil {
-			return false, Stats{GroupOrder: order, ProbeStates: probed, Workers: t.workers()}, perr
+			return false, Stats{ProbeStates: probed}, perr
 		}
 		if pr.saFalse {
 			// The probe's witness (reachable context divergence, a stable
 			// refusing state in the start closure, or P starting at a leaf)
 			// kills the start position outright; no enumeration needed.
-			return false, Stats{GroupOrder: order, ProbeStates: probed, Workers: t.workers()}, nil
+			return false, Stats{ProbeStates: probed}, nil
 		}
 	}
-	sv, err := newSolver(M, true, o, t, grp)
+	sv, err := newSolver(M, true, o)
 	sv.stats.ProbeStates = probed
 	if err != nil {
 		return false, sv.stats, err
@@ -215,21 +164,6 @@ func SolveCyclicTuned(n *network.Network, i int, o game.Options, t Tuning) (bool
 	win, err := sv.solveCyclic()
 	sv.finishStats()
 	return win, sv.stats, err
-}
-
-// distSubgroup discovers the network's automorphism group and cuts it
-// down to the elements that fix the distinguished process and every
-// action it owns — the part of the symmetry the Game(P, Q) semantics
-// cannot observe. Returns nil when tuning disables symmetry or the
-// subgroup is trivial.
-func distSubgroup(n *network.Network, i int, t Tuning) *symred.Group {
-	if t.NoSymmetry {
-		return nil
-	}
-	if g := symred.Discover(n).DistSubgroup(i); !g.Trivial() {
-		return g
-	}
-	return nil
 }
 
 // checkP validates the Figure 4 assumption on the distinguished process,
@@ -251,50 +185,30 @@ func budget(o game.Options) int {
 }
 
 // solver carries one run's compiled machine, context graph, belief
-// arena, and P move tables. The context passes and the acyclic DFS are
-// sequential; the cyclic sweep may shard across workers, each with its
-// own scratch, sharing only the arena and the step memo.
+// arena, step memo, and P move tables. Every pass is sequential.
 type solver struct {
 	M      *explore.Machine
 	cg     *ctxGraph
 	ar     *arena
 	g      *guard.G
 	budget int
-	tune   Tuning
 	stats  Stats
 
 	startGid int32
 	pacts    [][]int32           // per P state: sorted unique action ids
 	pvis     [][]explore.VisMove // per P state: moves sorted by (aid, to)
 
-	memo *stepTable // (belief, action) → stepped belief (−1: no offer)
-	sc   *scratch   // the sequential passes' scratch
-
-	// grp is the dist-stabilizer symmetry subgroup the context BFS
-	// quotients by; nil when symmetry is off or the subgroup is trivial.
-	grp *symred.Group
-
-	// Subsumption antichains, per P state; nil when tune.NoAntichain.
-	// winAC holds ⊆-maximal winning beliefs (fed by the acyclic DFS
-	// only), loseAC ⊆-minimal losing beliefs (acyclic: any lost
-	// position; cyclic: minimal blocked beliefs, fed at level barriers).
-	winAC  []antichain
-	loseAC []antichain
-	// acFeeds counts antichain insertions, driving the amortized
-	// "antichain" governor polls.
-	acFeeds int
+	memo       map[uint64]int32 // (belief, action) → stepped belief (−1: no offer)
+	buf        []uint64         // the step and closure bitset
+	closeStack []int32          // the τ-closure worklist
 }
 
 // newSolver prepares the P tables and enumerates the context graph in
 // lockstep with them. A partially initialized solver (with
 // barrier-accurate stats) is returned even on error so callers can
 // report them.
-func newSolver(M *explore.Machine, cyclic bool, o game.Options, t Tuning, grp *symred.Group) (*solver, error) {
-	sv := &solver{M: M, g: o.Guard, budget: budget(o), tune: t, memo: newStepTable(), grp: grp}
-	sv.stats.GroupOrder = 1
-	if grp != nil {
-		sv.stats.GroupOrder = grp.Order()
-	}
+func newSolver(M *explore.Machine, cyclic bool, o game.Options) (*solver, error) {
+	sv := &solver{M: M, g: o.Guard, budget: budget(o), memo: make(map[uint64]int32)}
 	np := M.NumDistStates()
 	sv.pvis = make([][]explore.VisMove, np)
 	sv.pacts = make([][]int32, np)
@@ -316,51 +230,15 @@ func newSolver(M *explore.Machine, cyclic bool, o game.Options, t Tuning, grp *s
 	sv.cg = cg
 	sv.startGid = startGid
 	sv.ar = newArena(cg.words())
-	sv.sc = newScratch(cg.words())
-	if !t.NoAntichain {
-		sv.winAC = newAntichains(np, cg.words())
-		sv.loseAC = newAntichains(np, cg.words())
-	}
+	sv.buf = make([]uint64, cg.words())
 	return sv, nil
 }
 
-// finishStats fills the end-of-run aggregates: the interned belief count
-// and the retained antichain rows.
+// finishStats fills the end-of-run aggregate: the interned belief count.
 func (sv *solver) finishStats() {
 	if sv.ar != nil {
 		sv.stats.Beliefs = sv.ar.size()
 	}
-	total := 0
-	for i := range sv.winAC {
-		total += sv.winAC[i].size()
-	}
-	for i := range sv.loseAC {
-		total += sv.loseAC[i].size()
-	}
-	sv.stats.AntichainElems = total
-}
-
-// feedWin records a won position's belief in its P-state's win
-// antichain, polling the "antichain" pass on an amortized stride.
-func (sv *solver) feedWin(p uint32, bid int32) error {
-	if sv.tune.NoAntichain {
-		return nil
-	}
-	sv.winAC[p].insertMax(sv.ar.set(bid))
-	err := sv.poll("antichain", sv.acFeeds)
-	sv.acFeeds++
-	return err
-}
-
-// feedLose is feedWin's dual for lost (or blocked) positions.
-func (sv *solver) feedLose(p uint32, bid int32) error {
-	if sv.tune.NoAntichain {
-		return nil
-	}
-	sv.loseAC[p].insertMin(sv.ar.set(bid))
-	err := sv.poll("antichain", sv.acFeeds)
-	sv.acFeeds++
-	return err
 }
 
 // limit wraps a stop reason into a *guard.LimitErr. states is the

@@ -5,7 +5,6 @@ import (
 
 	"fspnet/internal/explore"
 	"fspnet/internal/game"
-	"fspnet/internal/symred"
 )
 
 // visMove is one visible context move, compiled to a dense action id and
@@ -55,7 +54,7 @@ func (cg *ctxGraph) words() int { return (cg.size() + 63) / 64 }
 // no other context state can ever enter a belief. A context τ-move keeps
 // p; a move on a P-shared action a is followed along each of P's own
 // a-moves p → p′, and a move p cannot follow is dropped before it is
-// canonicalized or interned. Each context id carries a bitmask of the
+// interned. Each context id carries a bitmask of the
 // P-states it has been paired with, so every pair expands once. The
 // kept states are closed under context τ, and a state paired with p has
 // all its moves on p's actions recorded — all that step and blocked
@@ -71,29 +70,7 @@ func (sv *solver) buildCtx(cyclic bool) (*ctxGraph, int32, error) {
 	m := M.NumProcs()
 	ci := explore.NewInterner(M)
 	scratch := make([]uint32, m)
-	// With a nontrivial dist-stabilizer subgroup the BFS interns orbit
-	// representatives instead of raw vectors. Every element of the
-	// subgroup fixes the distinguished process and acts as the identity
-	// on its alphabet, so orbit members are strongly bisimilar context
-	// states with identical visible labels, stability, and offers: the
-	// quotient graph induces the same belief game. Successors are
-	// canonicalized before interning, which is the only change — the
-	// adjacency, divergence, and belief passes all run on the quotient
-	// unmodified.
-	var cz *symred.Canonizer
-	var canon []uint32
-	if sv.grp != nil {
-		cz = sv.grp.NewCanonizer()
-		canon = make([]uint32, m)
-	}
-	start := M.StartVec()
-	if cz != nil {
-		// Automorphisms fix component starts, so this is the identity;
-		// keep the single enforcement point for "interned ⇒ canonical".
-		cz.Canon(start, canon)
-		start = canon
-	}
-	ci.Intern(start)
+	ci.Intern(M.StartVec())
 	sv.stats.CtxStates = 1
 	// seen[c*pw:(c+1)*pw] is the bitmask of P-states paired with context
 	// id c so far; a pair enters the next frontier when its bit is set.
@@ -136,12 +113,6 @@ func (sv *solver) buildCtx(cyclic bool) (*ctxGraph, int32, error) {
 						return true // P cannot take part: no joint run makes this move
 					}
 					follow = sv.pvis[pc.p][lo:hi]
-				}
-				if cz != nil {
-					if cz.Canon(succ, canon) {
-						sv.stats.SymHits++
-					}
-					succ = canon
 				}
 				id, isFresh := ci.Intern(succ)
 				if isFresh {

@@ -29,13 +29,10 @@ func faultOpts(h guard.Hook) game.Options {
 var noProbe = belief.Tuning{NoProbe: true}
 
 // beliefPasses are every governor pass the engine polls, in run order for
-// the cyclic semantics ("ctx-scc", "fixpoint", and the two worker passes
-// are cyclic-only, "shape" acyclic-only). "game-worker" and
-// "fixpoint-worker" are polled inside the sweep/elimination chunks —
-// also when the resolved worker count is 1 — and "antichain" on the
-// amortized feed stride.
-var beliefPasses = []string{"ctx-bfs", "ctx-adj", "ctx-scc", "game", "game-worker",
-	"antichain", "fixpoint", "fixpoint-worker"}
+// the cyclic semantics ("ctx-scc" and "fixpoint" are cyclic-only,
+// "shape" acyclic-only). "game" and "fixpoint" are polled at the head of
+// every sweep level and elimination round, and on a stride inside it.
+var beliefPasses = []string{"ctx-bfs", "ctx-adj", "ctx-scc", "game", "fixpoint"}
 
 // TestFaultInjectBeliefCyclicCancelSweep cancels the cyclic engine at
 // levels 0..3 of every pass on the philosophers ring. An injection that
@@ -74,7 +71,7 @@ func TestFaultInjectBeliefCyclicCancelSweep(t *testing.T) {
 			}
 		}
 	}
-	for _, pass := range []string{"ctx-bfs", "ctx-scc", "game-worker", "antichain", "fixpoint", "fixpoint-worker"} {
+	for _, pass := range []string{"ctx-bfs", "ctx-scc", "game", "fixpoint"} {
 		if !fired[pass] {
 			t.Errorf("pass %s: no injection ever fired (stats %+v)", pass, fullStats)
 		}
@@ -172,41 +169,6 @@ func TestFaultInjectBeliefPartialDeterminism(t *testing.T) {
 	}
 	if a, b := partial(), partial(); a != b {
 		t.Fatalf("partial verdicts differ across identical runs: %+v vs %+v", a, b)
-	}
-}
-
-// TestFaultInjectBeliefWorkerPartialDeterminism cancels inside the
-// parallel sweep and fixpoint chunks across worker counts and requires
-// byte-identical partial verdicts: injections fire by (pass, level), so
-// every worker past the trigger observes the same stop, and the engine
-// reports progress from the last sequential barrier.
-func TestFaultInjectBeliefWorkerPartialDeterminism(t *testing.T) {
-	n, err := bench.Philosophers(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pass := range []string{"game-worker", "fixpoint-worker"} {
-		partial := func(workers int) guard.Partial {
-			t.Helper()
-			_, _, err := belief.SolveCyclicTuned(n, 0,
-				faultOpts(faultinject.CancelAt(pass, 0)), belief.Tuning{Workers: workers, NoProbe: true})
-			var le *guard.LimitErr
-			if !errors.As(err, &le) {
-				t.Fatalf("%s workers=%d: error %v is not a *guard.LimitErr", pass, workers, err)
-			}
-			if le.Partial.Pass != pass {
-				t.Fatalf("%s workers=%d: partial names pass %q", pass, workers, le.Partial.Pass)
-			}
-			p := le.Partial
-			p.Elapsed = 0
-			return p
-		}
-		base := partial(1)
-		for _, w := range []int{2, 3, 8} {
-			if p := partial(w); p != base {
-				t.Fatalf("%s: partial differs at %d workers: %+v vs %+v", pass, w, p, base)
-			}
-		}
 	}
 }
 

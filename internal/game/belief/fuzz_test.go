@@ -79,25 +79,5 @@ func FuzzDifferentialSa(f *testing.F) {
 			t.Fatalf("divergence: belief S_a=%v, legacy S_a=%v (seed=%d size=%d mode=%d)",
 				got, want, seed, size, mode)
 		}
-		// Third engine configuration: pruned multi-worker against the
-		// unpruned sequential oracle tuning. The production default above
-		// already exercised the antichains; this pins the parallel sweep
-		// and the no-antichain path to the same verdict.
-		solve := belief.SolveAcyclicTuned
-		if cyclic {
-			solve = belief.SolveCyclicTuned
-		}
-		par, _, err := solve(n, 0, game.Options{}, belief.Tuning{Workers: 3})
-		if err != nil {
-			t.Fatalf("pruned-parallel engine failed where the oracle succeeded: %v", err)
-		}
-		seq, _, err := solve(n, 0, game.Options{}, belief.Tuning{NoAntichain: true, Workers: 1})
-		if err != nil {
-			t.Fatalf("unpruned-sequential engine failed where the oracle succeeded: %v", err)
-		}
-		if par != want || seq != want {
-			t.Fatalf("tuning divergence: pruned-parallel=%v, unpruned-sequential=%v, legacy=%v (seed=%d size=%d mode=%d)",
-				par, seq, want, seed, size, mode)
-		}
 	})
 }

@@ -43,11 +43,11 @@ func goldenProcs(m int) []int {
 // TestGoldenBeliefStats pins the S_a verdicts and the deterministic
 // belief.Stats counters for the goldenProcs of every testdata/*.fsp
 // fixture and 20 generated tree networks, under both semantics, in the
-// default tuning and the unpruned, unreduced, probe-free oracle. The
-// verdict, Beliefs, Positions, ProbeStates and GroupOrder must match
-// the golden file exactly; CtxStates may only shrink, since which
-// context states the walk builds beyond those a belief can hold is an
-// implementation choice the game never observes.
+// default tuning and the probe-free oracle. The verdict, Beliefs,
+// Positions and ProbeStates must match the golden file exactly;
+// CtxStates may only shrink, since which context states the walk builds
+// beyond those a belief can hold is an implementation choice the game
+// never observes.
 func TestGoldenBeliefStats(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "..", "testdata", "*.fsp"))
 	if err != nil {
@@ -140,14 +140,14 @@ func renderBelief(win bool, st belief.Stats, err error) string {
 	case err != nil:
 		return "err=" + err.Error()
 	}
-	return fmt.Sprintf("Sa=%v | beliefs=%d positions=%d probe=%d group=%d ctx=%d",
-		win, st.Beliefs, st.Positions, st.ProbeStates, st.GroupOrder, st.CtxStates)
+	return fmt.Sprintf("Sa=%v | beliefs=%d positions=%d probe=%d ctx=%d",
+		win, st.Beliefs, st.Positions, st.ProbeStates, st.CtxStates)
 }
 
 // goldenRow is one parsed golden line.
 type goldenRow struct {
-	key, verdict                          string
-	beliefs, positions, probe, group, ctx int
+	key, verdict                   string
+	beliefs, positions, probe, ctx int
 }
 
 func parseGolden(t *testing.T, line string) goldenRow {
@@ -162,8 +162,8 @@ func parseGolden(t *testing.T, line string) goldenRow {
 	if !ok {
 		return r
 	}
-	if _, err := fmt.Sscanf(counts, "beliefs=%d positions=%d probe=%d group=%d ctx=%d",
-		&r.beliefs, &r.positions, &r.probe, &r.group, &r.ctx); err != nil {
+	if _, err := fmt.Sscanf(counts, "beliefs=%d positions=%d probe=%d ctx=%d",
+		&r.beliefs, &r.positions, &r.probe, &r.ctx); err != nil {
 		t.Fatalf("malformed golden line %q: %v", line, err)
 	}
 	return r

@@ -2,22 +2,13 @@ package belief
 
 // This file holds the two game solvers over (P-state, belief) positions.
 // The acyclic game is a DFS over the position DAG with an explicit frame
-// stack, pruned by the subsumption antichains of antichain.go. The
-// cyclic game is a level-synchronized reachability sweep followed by a
-// counter-based greatest-fixpoint elimination, both sharded across
-// tune.Workers goroutines. Determinism discipline for the parallel
-// passes: workers compute over level-frozen tables with per-worker
-// scratch (the belief arena and step memo are the only shared, locked
-// structures), and every observable mutation — position interning,
-// statistics, antichain feeds, budget charges — happens at the
-// sequential level barrier in position order. Verdicts, counts, and the
-// partial verdicts reported when the governor stops a pass are therefore
-// deterministic and independent of the worker count.
+// stack. The cyclic game is a level-synchronized reachability sweep
+// followed by a counter-based greatest-fixpoint elimination in rounds.
+// Both are sequential, so verdicts, counts, and the partial verdicts
+// reported when the governor stops a pass are deterministic.
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"fspnet/internal/game"
 )
@@ -27,11 +18,10 @@ const (
 	win  = uint8(2)
 )
 
-// workerPollStride amortizes the per-worker governor polls inside the
-// parallel chunks; each worker also polls at its chunk start, so every
-// sweep level observes at least one "game-worker"/"fixpoint-worker"
-// poll per active worker.
-const workerPollStride = 64
+// sweepPollStride amortizes the governor polls inside one cyclic-sweep
+// level or one fixpoint round: one Poll per stride of positions, beside
+// the poll at the level's or round's head.
+const sweepPollStride = 64
 
 func posKey(p uint32, bid int32) uint64 {
 	return uint64(p)<<32 | uint64(uint32(bid))
@@ -42,15 +32,10 @@ func posKey(p uint32, bid int32) uint64 {
 // and every action the adversary can offer has some P-response that
 // wins. The position graph is a DAG (every move fires a real P
 // transition and P is acyclic), so a depth-first evaluation with an
-// explicit stack terminates without in-progress tracking. Before a
-// position is expanded it is checked against its P-state's antichains —
-// a known-winning superset or known-losing subset resolves it without
-// charging a position — and every resolved non-leaf position feeds the
-// antichains back.
+// explicit stack terminates without in-progress tracking.
 func (sv *solver) solveAcyclic() (bool, error) {
-	sv.stats.Workers = 1
 	memo := make(map[uint64]uint8)
-	startBid := sv.startBelief(sv.sc)
+	startBid := sv.startBelief()
 
 	// frame is one in-progress position: iterating its actions (ai), and
 	// for the current offerable action the stepped belief (nbid) and the
@@ -68,28 +53,12 @@ func (sv *solver) solveAcyclic() (bool, error) {
 	}
 	var stack []frame
 
-	// resolve enters a position: memo hits, antichain subsumption, and
-	// terminal verdicts resolve immediately, anything else pushes a
-	// frame.
+	// resolve enters a position: memo hits and terminal verdicts resolve
+	// immediately, anything else pushes a frame.
 	resolve := func(p uint32, bid int32) (done bool, v uint8, err error) {
 		key := posKey(p, bid)
 		if v, ok := memo[key]; ok {
 			return true, v, nil
-		}
-		if sv.winAC != nil && !sv.M.DistLeaf(p) {
-			b := sv.ar.set(bid)
-			if sv.winAC[p].hasSuperset(b) {
-				sv.stats.AntichainHits++
-				sv.stats.Pruned++
-				memo[key] = win
-				return true, win, nil
-			}
-			if sv.loseAC[p].hasSubset(b) {
-				sv.stats.AntichainHits++
-				sv.stats.Pruned++
-				memo[key] = lose
-				return true, lose, nil
-			}
 		}
 		sv.stats.Positions++
 		if err := sv.chargePos(); err != nil {
@@ -102,9 +71,6 @@ func (sv *solver) solveAcyclic() (bool, error) {
 		acts := sv.pacts[p]
 		if sv.blocked(bid, acts) {
 			memo[key] = lose
-			if err := sv.feedLose(p, bid); err != nil {
-				return false, 0, err
-			}
 			return true, lose, nil
 		}
 		stack = append(stack, frame{key: key, p: p, bid: bid, acts: acts, lo: -1, nbid: -1})
@@ -119,22 +85,16 @@ func (sv *solver) solveAcyclic() (bool, error) {
 		return v == win, nil
 	}
 	var final uint8
-	// pop finishes the top frame with verdict v, feeding the antichains
-	// and the parent: a winning response advances the parent to its next
-	// action, a losing one to its next response.
-	pop := func(v uint8) error {
+	// pop finishes the top frame with verdict v and advances the parent:
+	// a winning response moves it to its next action, a losing one to its
+	// next response.
+	pop := func(v uint8) {
 		f := stack[len(stack)-1]
 		memo[f.key] = v
 		stack = stack[:len(stack)-1]
-		var err error
-		if v == win {
-			err = sv.feedWin(f.p, f.bid)
-		} else {
-			err = sv.feedLose(f.p, f.bid)
-		}
 		if len(stack) == 0 {
 			final = v
-			return err
+			return
 		}
 		parent := &stack[len(stack)-1]
 		if v == win {
@@ -143,20 +103,17 @@ func (sv *solver) solveAcyclic() (bool, error) {
 		} else {
 			parent.si++
 		}
-		return err
 	}
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
 		if f.lo < 0 {
 			if f.ai >= len(f.acts) {
 				// Every offerable action has a winning response.
-				if err := pop(win); err != nil {
-					return false, err
-				}
+				pop(win)
 				continue
 			}
 			aid := f.acts[f.ai]
-			nb := sv.step(sv.sc, f.bid, aid)
+			nb := sv.step(f.bid, aid)
 			if nb < 0 {
 				f.ai++ // the adversary cannot offer aid on this trail
 				continue
@@ -167,9 +124,7 @@ func (sv *solver) solveAcyclic() (bool, error) {
 		}
 		if f.si >= f.hi {
 			// The adversary forces acts[ai]: every response loses.
-			if err := pop(lose); err != nil {
-				return false, err
-			}
+			pop(lose)
 			continue
 		}
 		done, v, err := resolve(sv.pvis[f.p][f.si].To, f.nbid)
@@ -193,24 +148,14 @@ func (sv *solver) solveAcyclic() (bool, error) {
 // solveCyclic evaluates the Section 4 game: P wins iff it can play
 // forever. Phase 1 is a level-synchronized breadth-first sweep interning
 // every position reachable from the start and recording its edge groups
-// (per offerable action, the P-responses into the stepped belief); each
-// level's positions are expanded by the workers over contiguous chunks
-// and merged at the barrier in position order. A position is dead when P
-// is at a leaf or the belief is blocked — the lose antichain of minimal
-// blocked beliefs, fed at the barriers, decides the latter without a
-// scan whenever a known-blocked subset is present (a stable no-offer
-// state in the subset is in the superset too, so the fast path never
-// changes which positions die). Phase 2 removes positions while some
-// offerable action has zero surviving responses, in waves over the
-// reversed edges: workers decrement shared atomic group counters, claim
-// each zero crossing exactly once by compare-and-swap, and the wave
-// contents (a deterministic set — whether a group hits zero by wave k
-// depends only on the fallen set, not on scheduling) are merged in
-// worker order at each round barrier.
+// (per offerable action, the P-responses into the stepped belief). A
+// position is dead when P is at a leaf or the belief is blocked. Phase 2
+// removes positions while some offerable action has zero surviving
+// responses, in waves over the reversed edges: each fallen position
+// decrements its predecessors' group counters, and a position falls in
+// the next wave when one of its counters reaches zero.
 func (sv *solver) solveCyclic() (bool, error) {
-	W := sv.tune.workers()
-	sv.stats.Workers = W
-	startBid := sv.startBelief(sv.sc)
+	startBid := sv.startBelief()
 	type pnode struct {
 		p   uint32
 		bid int32
@@ -247,120 +192,49 @@ func (sv *solver) solveCyclic() (bool, error) {
 		return false, err
 	}
 
-	scratches := make([]*scratch, W)
-	scratches[0] = sv.sc
-	for i := 1; i < W; i++ {
-		scratches[i] = newScratch(sv.cg.words())
-	}
-	workerErrs := make([]error, W)
-
-	// expand computes one position's fate using the worker's scratch; it
-	// reads only level-frozen tables, the arena, and the step memo.
-	type resp struct {
-		p  uint32
-		nb int32
-	}
-	type result struct {
-		dead   bool
-		acHit  bool
-		feed   bool // blocked by scan: feed the belief to loseAC at the barrier
-		groups [][]resp
-	}
-	expand := func(sc *scratch, u int32, out *result) {
-		nd := list[u]
-		if sv.M.DistLeaf(nd.p) {
-			out.dead = true
-			return
-		}
-		acts := sv.pacts[nd.p]
-		if sv.loseAC != nil && sv.loseAC[nd.p].hasSubset(sv.ar.set(nd.bid)) {
-			out.dead, out.acHit = true, true
-			return
-		}
-		if sv.blocked(nd.bid, acts) {
-			out.dead, out.feed = true, true
-			return
-		}
-		for _, aid := range acts {
-			nb := sv.step(sc, nd.bid, aid)
-			if nb < 0 {
-				continue
-			}
-			lo, hi := sv.succRange(nd.p, aid)
-			rs := make([]resp, 0, hi-lo)
-			for i := lo; i < hi; i++ {
-				rs = append(rs, resp{p: sv.pvis[nd.p][i].To, nb: nb})
-			}
-			out.groups = append(out.groups, rs)
-		}
-	}
-
 	level := []int32{startID}
-	var results []result
 	for lvl := 0; len(level) > 0; lvl++ {
 		if err := sv.g.Poll("game", lvl); err != nil {
 			return false, sv.limit(fmt.Errorf("belief: cyclic sweep stopped at level %d: %w", lvl, err),
 				"game", sv.stats.Positions)
 		}
-		if cap(results) < len(level) {
-			results = make([]result, len(level))
-		} else {
-			results = results[:len(level)]
-			for i := range results {
-				results[i] = result{}
-			}
-		}
-		runChunks(W, len(level), func(w, lo, hi int) {
-			sc := scratches[w]
-			for k := lo; k < hi; k++ {
-				if (k-lo)%workerPollStride == 0 {
-					if err := sv.g.Poll("game-worker", lvl); err != nil {
-						workerErrs[w] = err
-						return
-					}
-				}
-				expand(sc, level[k], &results[k])
-			}
-		})
-		if err := firstWorkerErr(workerErrs); err != nil {
-			return false, sv.limit(fmt.Errorf("belief: cyclic sweep worker stopped at level %d: %w", lvl, err),
-				"game-worker", sv.stats.Positions)
-		}
 		var next []int32
 		fresh := 0
-		for li, u := range level {
-			r := &results[li]
-			if r.acHit {
-				sv.stats.AntichainHits++
+		for k, u := range level {
+			if k > 0 && k%sweepPollStride == 0 {
+				if err := sv.g.Poll("game", lvl); err != nil {
+					return false, sv.limit(fmt.Errorf("belief: cyclic sweep stopped in level %d: %w", lvl, err),
+						"game", sv.stats.Positions)
+				}
 			}
-			if r.dead {
+			nd := list[u]
+			acts := sv.pacts[nd.p]
+			if sv.M.DistLeaf(nd.p) || sv.blocked(nd.bid, acts) {
 				dead[u] = true
 				continue
 			}
-			gs := make([][]int32, len(r.groups))
-			for gi, rs := range r.groups {
-				ds := make([]int32, len(rs))
-				for i, rp := range rs {
-					id, isFresh := addPos(rp.p, rp.nb)
+			var gs [][]int32
+			for _, aid := range acts {
+				nb := sv.step(nd.bid, aid)
+				if nb < 0 {
+					continue
+				}
+				lo, hi := sv.succRange(nd.p, aid)
+				ds := make([]int32, 0, hi-lo)
+				for i := lo; i < hi; i++ {
+					id, isFresh := addPos(sv.pvis[nd.p][i].To, nb)
 					if isFresh {
 						next = append(next, id)
 						fresh++
 					}
-					ds[i] = id
+					ds = append(ds, id)
 				}
-				gs[gi] = ds
+				gs = append(gs, ds)
 			}
 			groups[u] = gs
 		}
 		if err := chargeLevel(fresh); err != nil {
 			return false, err
-		}
-		for li, u := range level {
-			if results[li].feed {
-				if err := sv.feedLose(list[u].p, list[u].bid); err != nil {
-					return false, err
-				}
-			}
 		}
 		level = next
 	}
@@ -390,101 +264,37 @@ func (sv *solver) solveCyclic() (bool, error) {
 			}
 		}
 	}
-	fallen := make([]int32, n)
-	var wave []int32
+	fallen := make([]bool, n)
+	var wave, nextWave []int32
 	for u := 0; u < n; u++ {
 		if dead[u] {
-			fallen[u] = 1
+			fallen[u] = true
 			wave = append(wave, int32(u))
 		}
 	}
-	nextBufs := make([][]int32, W)
 	for round := 0; len(wave) > 0; round++ {
 		if err := sv.g.Poll("fixpoint", round); err != nil {
 			return false, sv.limit(fmt.Errorf("belief: fixpoint stopped at round %d: %w", round, err),
 				"fixpoint", sv.stats.Positions)
 		}
-		runChunks(W, len(wave), func(w, lo, hi int) {
-			buf := nextBufs[w][:0]
-			for k := lo; k < hi; k++ {
-				if (k-lo)%workerPollStride == 0 {
-					if err := sv.g.Poll("fixpoint-worker", round); err != nil {
-						workerErrs[w] = err
-						break
-					}
-				}
-				for _, r := range rev[wave[k]] {
-					idx := gcOff[r.u] + r.g
-					if atomic.AddInt32(&gc[idx], -1) == 0 &&
-						atomic.CompareAndSwapInt32(&fallen[r.u], 0, 1) {
-						buf = append(buf, r.u)
-					}
+		nextWave = nextWave[:0]
+		for k, d := range wave {
+			if k > 0 && k%sweepPollStride == 0 {
+				if err := sv.g.Poll("fixpoint", round); err != nil {
+					return false, sv.limit(fmt.Errorf("belief: fixpoint stopped in round %d: %w", round, err),
+						"fixpoint", sv.stats.Positions)
 				}
 			}
-			nextBufs[w] = buf
-		})
-		if err := firstWorkerErr(workerErrs); err != nil {
-			return false, sv.limit(fmt.Errorf("belief: fixpoint worker stopped at round %d: %w", round, err),
-				"fixpoint-worker", sv.stats.Positions)
-		}
-		// Merge and clear each worker buffer: runChunks skips workers with
-		// empty chunks, so a buffer left full from an earlier round would
-		// otherwise be merged again and keep the wave alive forever.
-		wave = wave[:0]
-		for w := range nextBufs {
-			wave = append(wave, nextBufs[w]...)
-			nextBufs[w] = nextBufs[w][:0]
-		}
-	}
-	return fallen[startID] == 0, nil
-}
-
-// runChunks splits n items into W contiguous chunks and runs fn(w, lo,
-// hi) for each — inline when W is 1, on goroutines otherwise. Chunk
-// bounds depend only on (W, n), so the work assignment is deterministic.
-// Worker panics are re-raised after the barrier, never deadlocking it.
-func runChunks(W, n int, fn func(w, lo, hi int)) {
-	if W <= 1 || n <= 1 {
-		fn(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	panics := make([]any, W)
-	for w := 0; w < W; w++ {
-		lo, hi := w*n/W, (w+1)*n/W
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panics[w] = r
+			for _, r := range rev[d] {
+				idx := gcOff[r.u] + r.g
+				gc[idx]--
+				if gc[idx] == 0 && !fallen[r.u] {
+					fallen[r.u] = true
+					nextWave = append(nextWave, r.u)
 				}
-			}()
-			fn(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, r := range panics {
-		if r != nil {
-			panic(r)
+			}
 		}
+		wave, nextWave = nextWave, wave
 	}
-}
-
-// firstWorkerErr returns the lowest-indexed recorded worker error and
-// clears the slate for the next barrier. Fault injections and guard
-// limits fire by (pass, level), so every worker polling after the
-// trigger observes the same stop and the lowest index is deterministic.
-func firstWorkerErr(errs []error) error {
-	var first error
-	for i, e := range errs {
-		if e != nil && first == nil {
-			first = e
-		}
-		errs[i] = nil
-	}
-	return first
+	return !fallen[startID], nil
 }

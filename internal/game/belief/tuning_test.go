@@ -1,7 +1,5 @@
-// Tests pinning the Tuning contract: the pruned-parallel production
-// configuration and the unpruned-sequential oracle configuration must
-// return byte-identical verdicts, and Stats must be independent of the
-// worker count (the parallel sweep merges at deterministic barriers).
+// Tests pinning the Tuning contract: the production configuration and
+// the probe-free oracle configuration must return identical verdicts.
 package belief_test
 
 import (
@@ -9,16 +7,15 @@ import (
 	"math/rand"
 	"testing"
 
-	"fspnet/internal/bench"
 	"fspnet/internal/fsptest"
 	"fspnet/internal/game"
 	"fspnet/internal/game/belief"
 	"fspnet/internal/network"
 )
 
-// oracle is the differential reference configuration: no antichain
-// pruning, no symmetry quotient, no witness probe, one worker.
-var oracle = belief.Tuning{NoAntichain: true, Workers: 1, NoSymmetry: true, NoProbe: true}
+// oracle is the differential reference configuration: no witness
+// probe, so every verdict comes from the exhaustive engine.
+var oracle = belief.Tuning{NoProbe: true}
 
 // tunedPair runs the tuned engine and the oracle on one instance and
 // requires the same verdict.
@@ -42,37 +39,8 @@ func tunedPair(t *testing.T, n *network.Network, cyclic bool, tune belief.Tuning
 	return st
 }
 
-// TestWorkerCountDeterminism requires identical stats and verdicts for
-// the cyclic sweep across worker counts, on instances whose games are
-// non-trivial (philosophers rings explore thousands of positions).
-func TestWorkerCountDeterminism(t *testing.T) {
-	for _, m := range []int{3, 4} {
-		n, err := bench.Philosophers(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var base belief.Stats
-		for i, w := range []int{1, 2, 3, 8} {
-			_, st, err := belief.SolveCyclicTuned(n, 0, game.Options{}, belief.Tuning{Workers: w, NoProbe: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Workers != w {
-				t.Fatalf("philosophers %d: Stats.Workers = %d, want %d", m, st.Workers, w)
-			}
-			st.Workers = 0
-			if i == 0 {
-				base = st
-			} else if st != base {
-				t.Fatalf("philosophers %d: stats differ at %d workers: %+v vs %+v", m, w, st, base)
-			}
-		}
-	}
-}
-
 // TestTunedAgainstOracle sweeps random tree networks under both
-// semantics, comparing the pruned-parallel default against the unpruned
-// sequential oracle.
+// semantics, comparing the default against the probe-free oracle.
 func TestTunedAgainstOracle(t *testing.T) {
 	for _, cyclic := range []bool{false, true} {
 		for seed := int64(0); seed < 40; seed++ {
@@ -85,31 +53,7 @@ func TestTunedAgainstOracle(t *testing.T) {
 				Cyclic:         cyclic,
 			}
 			n := fsptest.TreeNetwork(r, cfg)
-			tunedPair(t, n, cyclic, belief.Tuning{Workers: 4}, fmt.Sprintf("seed %d cyclic=%v", seed, cyclic))
+			tunedPair(t, n, cyclic, belief.Tuning{}, fmt.Sprintf("seed %d cyclic=%v", seed, cyclic))
 		}
-	}
-}
-
-// TestAntichainPrunes requires the antichain to actually fire on an
-// instance large enough to present repeated (P-state, belief-subset)
-// structure, and the pruned run to stay verdict-identical.
-func TestAntichainPrunes(t *testing.T) {
-	n, err := bench.Philosophers(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, st, err := belief.SolveCyclicTuned(n, 0, game.Options{}, belief.Tuning{Workers: 1, NoProbe: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.AntichainElems == 0 {
-		t.Fatalf("no antichain rows retained: %+v", st)
-	}
-	_, off, err := belief.SolveCyclicTuned(n, 0, game.Options{}, oracle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.AntichainHits != 0 || off.AntichainElems != 0 || off.Pruned != 0 {
-		t.Fatalf("oracle reports antichain activity: %+v", off)
 	}
 }

@@ -89,9 +89,8 @@ const (
 
 // Config assembles a Server.
 type Config struct {
-	// Workers is the analysis pool size — how many analyses run at once.
-	// Each analysis is itself internally parallel (the explore engine
-	// fans out over GOMAXPROCS), so ≤ 0 defaults to 2, not NumCPU.
+	// Workers is the analysis pool size — how many analyses run at once;
+	// ≤ 0 defaults to 2. Each analysis runs on one goroutine.
 	Workers int
 	// QueueDepth bounds admitted-but-waiting requests beyond Workers;
 	// ≤ 0 means DefaultQueueDepth. Negative admission is impossible: a

@@ -632,7 +632,7 @@ func TestStatuszBeliefTotals(t *testing.T) {
 	if !ok {
 		t.Fatalf("no belief totals for acyclic/all: %+v", st.Belief)
 	}
-	if bt.Analyses != 1 || bt.CtxStates == 0 || bt.Positions == 0 || bt.Workers == 0 {
+	if bt.Analyses != 1 || bt.CtxStates == 0 || bt.Positions == 0 {
 		t.Fatalf("implausible belief totals: %+v", bt)
 	}
 	if _, ok := st.Belief["acyclic/reach"]; ok {
@@ -649,9 +649,8 @@ func TestStatuszBeliefTotals(t *testing.T) {
 
 // TestPhilosophers20AllPredicates serves the 40-process philosophers20
 // fixture with predicates=all under the fspd defaults (60s max timeout,
-// no state budget). The raw joint space is astronomically past any
-// budget; the C_20-orbit quotient and the witness probes decide all
-// three predicates in milliseconds — the tentpole acceptance check.
+// no state budget). The joint space is astronomically past any budget;
+// the witness probes decide all three predicates in milliseconds.
 func TestPhilosophers20AllPredicates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large fixture in -short mode")
@@ -675,23 +674,22 @@ func TestPhilosophers20AllPredicates(t *testing.T) {
 		t.Errorf("verdict (Su=%v Sa=%v Sc=%v), want (false,false,true)",
 			*ar.Record.Su, *ar.Record.Sa, *ar.Record.Sc)
 	}
-	// The run's symmetry yield is visible on /statusz: the ring's C_20
-	// rotation group and the probes' raw-space visits.
+	// The probes' visits are visible on /statusz.
 	st := getStats(t, ts.URL)
 	et, ok := st.Explore["cyclic/all"]
 	if !ok {
 		t.Fatalf("no explore totals for cyclic/all: %+v", st.Explore)
 	}
-	if et.GroupOrder != 20 || et.ProbeStates == 0 {
-		t.Errorf("explore totals = %+v, want groupOrder 20 and probe activity", et)
+	if et.ProbeStates == 0 {
+		t.Errorf("explore totals = %+v, want probe activity", et)
 	}
 }
 
 // TestPhilosophers12AllPredicates serves the 24-process philosophers12
 // fixture with predicates=all under the fspd defaults (60s max timeout,
-// no state budget): the antichain-pruned belief engine must decide S_a
-// on the ~531k-state context well inside the deadline, and the verdict
-// must be the ring's usual (Su=false, Sa=false, Sc=true).
+// no state budget): the engines must decide all three predicates well
+// inside the deadline, and the verdict must be the ring's usual
+// (Su=false, Sa=false, Sc=true).
 func TestPhilosophers12AllPredicates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large fixture in -short mode")

@@ -79,7 +79,8 @@ type Stats struct {
 	// Uptime is wall time since the server was built.
 	Uptime string `json:"uptime"`
 	// Runtime is the Go runtime's view of this process, sampled at
-	// snapshot time — the fields fspload runs correlate with latency.
+	// snapshot time, so a load run can tell queueing delay from GC
+	// pressure.
 	Runtime RuntimeStats `json:"runtime"`
 	// Latency maps "<mode>/<predicates>" (e.g. "cyclic/all",
 	// "acyclic/reach") to quantiles over the most recent completed
@@ -92,8 +93,7 @@ type Stats struct {
 	Belief map[string]BeliefTotals `json:"belief,omitempty"`
 	// Explore maps "<mode>/<predicates>" to running totals of the S_u/S_c
 	// explore-engine counters of completed analyses of that class,
-	// including the symmetry-reduction yield (orbit hits, states the
-	// representatives stand for, probe visits).
+	// including the witness probes' visits.
 	Explore map[string]ExploreTotals `json:"explore,omitempty"`
 }
 
@@ -131,38 +131,23 @@ func ReadRuntime() RuntimeStats {
 }
 
 // BeliefTotals accumulates belief-engine counters over one class's
-// completed analyses; Workers and GroupOrder are the most recent run's
-// values (configuration echoes, not sums).
+// completed analyses. ProbeStates sums the context vectors the witness
+// probe visited.
 type BeliefTotals struct {
-	Analyses      int64 `json:"analyses"`
-	CtxStates     int64 `json:"ctxStates"`
-	Beliefs       int64 `json:"beliefs"`
-	Positions     int64 `json:"positions"`
-	AntichainHits int64 `json:"antichainHits"`
-	Pruned        int64 `json:"pruned"`
-	Workers       int   `json:"workers"`
-	// GroupOrder echoes the last run's dist-stabilizer subgroup order;
-	// SymHits sums context canonicalization hits and ProbeStates the raw
-	// vectors the witness probes visited.
-	GroupOrder  int   `json:"groupOrder"`
-	SymHits     int64 `json:"symHits"`
+	Analyses    int64 `json:"analyses"`
+	CtxStates   int64 `json:"ctxStates"`
+	Beliefs     int64 `json:"beliefs"`
+	Positions   int64 `json:"positions"`
 	ProbeStates int64 `json:"probeStates"`
 }
 
 // ExploreTotals accumulates S_u/S_c explore-engine counters over one
-// class's completed analyses; GroupOrder is the most recent run's
-// discovered automorphism group order (an echo, not a sum).
+// class's completed analyses. ProbeStates sums the vectors the witness
+// probes visited.
 type ExploreTotals struct {
-	Analyses int64 `json:"analyses"`
-	States   int64 `json:"states"`
-	Moves    int64 `json:"moves"`
-	// GroupOrder echoes the last run's automorphism group order; OrbitHits
-	// sums successor canonicalizations that moved a vector, SymStates the
-	// extra raw states the interned representatives stand for, and
-	// ProbeStates the raw vectors the witness probes visited.
-	GroupOrder  int   `json:"groupOrder"`
-	OrbitHits   int64 `json:"orbitHits"`
-	SymStates   int64 `json:"symStates"`
+	Analyses    int64 `json:"analyses"`
+	States      int64 `json:"states"`
+	Moves       int64 `json:"moves"`
 	ProbeStates int64 `json:"probeStates"`
 }
 
@@ -288,11 +273,6 @@ func (b *beliefRecorder) record(class string, st belief.Stats) {
 	t.CtxStates += int64(st.CtxStates)
 	t.Beliefs += int64(st.Beliefs)
 	t.Positions += int64(st.Positions)
-	t.AntichainHits += int64(st.AntichainHits)
-	t.Pruned += int64(st.Pruned)
-	t.Workers = st.Workers
-	t.GroupOrder = st.GroupOrder
-	t.SymHits += int64(st.SymHits)
 	t.ProbeStates += int64(st.ProbeStates)
 	b.totals[class] = t
 }
@@ -328,9 +308,6 @@ func (e *exploreRecorder) record(class string, st explore.Stats) {
 	t.Analyses++
 	t.States += int64(st.States)
 	t.Moves += st.Moves
-	t.GroupOrder = st.GroupOrder
-	t.OrbitHits += st.OrbitHits
-	t.SymStates += st.SymStates
 	t.ProbeStates += int64(st.ProbeStates)
 	e.totals[class] = t
 }

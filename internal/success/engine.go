@@ -39,24 +39,23 @@ type Options struct {
 	// predicate already decided.
 	Guard *guard.G
 	// BeliefStats, when non-nil, receives the S_a belief-engine counters
-	// of the run (context states, beliefs, positions, antichain activity,
-	// sweep workers, symmetry quotient, probe). The compose backend never
-	// touches it.
+	// of the run (context states, beliefs, positions, probe). The compose
+	// backend never touches it.
 	BeliefStats *belief.Stats
 	// ExploreStats, when non-nil, receives the S_u/S_c explore-engine
-	// counters of the last engine run (states, moves, symmetry group
-	// order, orbit hits, probe). The compose backend never touches it.
+	// counters of the last engine run (states, depth, moves, probe). The
+	// compose backend never touches it.
 	ExploreStats *explore.Stats
-	// NoSymmetry disables orbit-canonical state interning in both the
-	// explore engine and the belief engine's context quotient, and the
-	// witness probes with it — the unreduced differential oracle. It
-	// changes only how verdicts are computed, never the verdicts.
-	NoSymmetry bool
+	// NoProbe disables the bounded witness probes of the explore and
+	// belief engines, so every cyclic verdict comes from exhaustive
+	// exploration — the differential oracle. It changes only how
+	// verdicts are computed, never the verdicts.
+	NoProbe bool
 }
 
 func engineOpts(o Options) explore.Options {
 	return explore.Options{MaxStates: o.MaxStates, Guard: o.Guard,
-		Tune: explore.Tuning{NoSymmetry: o.NoSymmetry, NoProbe: o.NoSymmetry}}
+		Tune: explore.Tuning{NoProbe: o.NoProbe}}
 }
 
 func gameOpts(o Options) game.Options {
@@ -64,7 +63,7 @@ func gameOpts(o Options) game.Options {
 }
 
 func beliefTuning(o Options) belief.Tuning {
-	return belief.Tuning{NoSymmetry: o.NoSymmetry, NoProbe: o.NoSymmetry}
+	return belief.Tuning{NoProbe: o.NoProbe}
 }
 
 // recordExplore copies the engine counters out for callers that asked

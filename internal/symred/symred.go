@@ -1,17 +1,12 @@
 // Package symred discovers automorphisms of a closed network — process
 // permutations π combined with an action relabeling α and per-process
 // state bijections σ that together preserve every start state, every
-// transition, and the action-ownership map of Definition 2 — and
-// canonicalizes joint state vectors to orbit representatives under the
-// discovered element set.
+// transition, and the action-ownership map of Definition 2.
 //
-// The three success predicates are invariant under such an automorphism
-// (it is an isomorphism of the reachable joint graph that maps the
-// distinguished process's role along π), so engines may explore one
-// representative per orbit instead of the whole orbit. The target
-// classes are the ones the fixture families instantiate: ring rotations
-// (philosophers) and interchangeable-member swaps (hub-and-spoke
-// cliques, generated E-series families).
+// No analysis engine uses it: the engines explore the unreduced joint
+// space, and their witness probes decide the symmetric rings without a
+// quotient. Discovery stays for the benchmark's per-layer trace, which
+// times it and reports the discovered group order.
 //
 // Discovery is heuristic, verification exact: candidate elements are
 // grown by constraint propagation from a seed assignment (π(0)=t for
@@ -19,16 +14,7 @@
 // matching states breadth-first and relabeling actions first-fit under
 // the ownership constraint; every completed candidate is then checked
 // exactly — bijectivity, start preservation, transition-set image
-// equality, ownership equivariance — and discarded on any mismatch. A
-// missed automorphism therefore only costs reduction, never soundness.
-//
-// Canonicalization is the O(rounds·|elems|·m) iterated-minimization
-// scheme: repeatedly apply any element that lexicographically decreases
-// the vector until none does. When the discovered element set happens to
-// be the whole group (rings and swap classes — every rotation and every
-// transposition is found as its own element), the fixpoint is the exact
-// orbit minimum; in general it is some orbit member, which is all the
-// quotient construction needs (canon(v) ∈ orbit(v), deterministically).
+// equality, ownership equivariance — and discarded on any mismatch.
 package symred
 
 import (
@@ -46,7 +32,7 @@ const maxElems = 512
 
 // maxDense bounds the per-process state and action counts discovery will
 // compile into its packed transition keys; larger networks get a trivial
-// group (no reduction) rather than a wrong one.
+// group rather than a wrong one.
 const maxDense = 1 << 20
 
 // Elem is one verified automorphism. Proc is the process permutation π
@@ -61,14 +47,9 @@ type Elem struct {
 }
 
 // Group is a set of verified automorphisms of one network, closed only
-// implicitly (compositions are applied iteratively, never materialized).
-// The zero-element group is the trivial group: canonicalization is the
-// identity.
+// implicitly (compositions are never materialized). The zero-element
+// group is the trivial group.
 type Group struct {
-	m     int
-	acts  []fsp.Action
-	ownA  []int32
-	ownB  []int32
 	elems []Elem
 }
 
@@ -91,163 +72,6 @@ func (g *Group) Order() int {
 		return 1
 	}
 	return len(g.elems) + 1
-}
-
-// Orbit returns the sorted orbit of process index j under the element
-// set (closure over both directions of every element).
-func (g *Group) Orbit(j int) []int32 {
-	out := []int32{int32(j)}
-	if g == nil || len(g.elems) == 0 {
-		return out
-	}
-	seen := make([]bool, g.m)
-	seen[j] = true
-	for i := 0; i < len(out); i++ {
-		for ei := range g.elems {
-			for _, f := range [2]int32{g.elems[ei].Proc[out[i]], g.elems[ei].Inv[out[i]]} {
-				if !seen[f] {
-					seen[f] = true
-					out = append(out, f)
-				}
-			}
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
-}
-
-// DistSubgroup returns the elements fixing process dist and every action
-// it owns. Applying such an element to a reachable joint vector fixes
-// the dist component and commutes with every observation the belief
-// game makes (offers, steps, stability), so the S_a context space may be
-// quotiented by it. Compositions of stabilizing elements stabilize, so
-// iterated minimization over the subset stays inside the stabilizer.
-func (g *Group) DistSubgroup(dist int) *Group {
-	sub := &Group{m: g.m, acts: g.acts, ownA: g.ownA, ownB: g.ownB}
-	if g.Trivial() {
-		return sub
-	}
-	for ei := range g.elems {
-		e := &g.elems[ei]
-		if e.Proc[dist] != int32(dist) {
-			continue
-		}
-		ok := true
-		for a := range g.acts {
-			if (g.ownA[a] == int32(dist) || g.ownB[a] == int32(dist)) && e.Act[a] != int32(a) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			sub.elems = append(sub.elems, *e)
-		}
-	}
-	return sub
-}
-
-// Canonizer carries the per-caller scratch buffers of the
-// canonicalization loop; each concurrent canonicalizing worker needs its
-// own. The Group itself is immutable after Discover and shared freely.
-type Canonizer struct {
-	g   *Group
-	tmp []uint32
-	pc  []int32
-}
-
-// NewCanonizer returns a fresh scratch-carrying canonicalizer for g.
-func (g *Group) NewCanonizer() *Canonizer {
-	m := 0
-	if g != nil {
-		m = g.m
-	}
-	return &Canonizer{g: g, tmp: make([]uint32, m), pc: make([]int32, m)}
-}
-
-// Canon writes the canonical image of vec into dst and reports whether
-// it differs from vec. vec and dst must not overlap. The image is the
-// iterated-minimization fixpoint: no single element application
-// decreases it lexicographically. Deterministic in (group, vec).
-func (cz *Canonizer) Canon(vec, dst []uint32) bool { return cz.canon(vec, dst, nil) }
-
-// CanonPerm is Canon additionally filling pi with the process
-// permutation of the applied (composed) element g, so dst = g·vec and
-// pi[j] is the component of dst that carries vec's component j.
-func (cz *Canonizer) CanonPerm(vec, dst []uint32, pi []int32) bool { return cz.canon(vec, dst, pi) }
-
-func (cz *Canonizer) canon(vec, dst []uint32, pi []int32) bool {
-	g := cz.g
-	copy(dst, vec)
-	if pi != nil {
-		for i := range pi {
-			pi[i] = int32(i)
-		}
-	}
-	if g == nil || len(g.elems) == 0 {
-		return false
-	}
-	changed := false
-	for {
-		improved := false
-		for ei := range g.elems {
-			e := &g.elems[ei]
-			tmp := cz.tmp
-			for j := 0; j < g.m; j++ {
-				tmp[e.Proc[j]] = uint32(e.State[j][dst[j]])
-			}
-			if lessVec(tmp, dst) {
-				copy(dst, tmp)
-				if pi != nil {
-					pc := cz.pc
-					for j := range pi {
-						pc[j] = e.Proc[pi[j]]
-					}
-					copy(pi, pc)
-				}
-				improved, changed = true, true
-			}
-		}
-		if !improved {
-			return changed
-		}
-	}
-}
-
-// OrbitSize counts the distinct single-application images of vec under
-// the element set (including vec itself) — the exact orbit size whenever
-// the element set is the full group, a lower bound otherwise.
-func (cz *Canonizer) OrbitSize(vec []uint32) int {
-	g := cz.g
-	if g == nil || len(g.elems) == 0 {
-		return 1
-	}
-	seen := make(map[string]struct{}, len(g.elems)+1)
-	kb := make([]byte, 4*g.m)
-	pack := func(v []uint32) {
-		for i, x := range v {
-			binary.LittleEndian.PutUint32(kb[i*4:], x)
-		}
-		seen[string(kb)] = struct{}{}
-	}
-	pack(vec)
-	for ei := range g.elems {
-		e := &g.elems[ei]
-		tmp := cz.tmp
-		for j := 0; j < g.m; j++ {
-			tmp[e.Proc[j]] = uint32(e.State[j][vec[j]])
-		}
-		pack(tmp)
-	}
-	return len(seen)
-}
-
-func lessVec(a, b []uint32) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
 }
 
 // ---------- discovery ----------
@@ -284,7 +108,7 @@ func tkey(s int32, aid int32, to int32) uint64 {
 // every verified element appended in discovery order.
 func Discover(n *network.Network) *Group {
 	m := n.Len()
-	g := &Group{m: m}
+	g := &Group{}
 	if m < 2 {
 		return g
 	}
@@ -358,7 +182,6 @@ func Discover(n *network.Network) *Group {
 		}
 		dp.key = fpKey(dp.ns, dp.ntrans, tauCnt, len(p.Alphabet()))
 	}
-	g.acts, g.ownA, g.ownB = d.acts, d.ownA, d.ownB
 	seen := make(map[string]bool)
 	add := func(e *Elem, ok bool) {
 		if !ok || e == nil || len(g.elems) >= maxElems {

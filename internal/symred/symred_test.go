@@ -2,7 +2,7 @@ package symred_test
 
 import (
 	"fmt"
-	"math/rand"
+	"sort"
 	"testing"
 
 	"fspnet/internal/bench"
@@ -59,12 +59,31 @@ func philosophers(t *testing.T, m int) *network.Network {
 	return n
 }
 
-// applyElem returns e·vec, for cross-checking the canonizer.
+// applyElem returns e·vec.
 func applyElem(e *symred.Elem, vec []uint32) []uint32 {
 	out := make([]uint32, len(vec))
 	for j := range vec {
 		out[e.Proc[j]] = uint32(e.State[j][vec[j]])
 	}
+	return out
+}
+
+// orbit returns the sorted images of process j under the elements and
+// their inverses, closed under repetition.
+func orbit(g *symred.Group, j int32) []int32 {
+	seen := map[int32]bool{j: true}
+	out := []int32{j}
+	for i := 0; i < len(out); i++ {
+		for _, e := range g.Elems() {
+			for _, f := range [2]int32{e.Proc[out[i]], e.Inv[out[i]]} {
+				if !seen[f] {
+					seen[f] = true
+					out = append(out, f)
+				}
+			}
+		}
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
 }
 
@@ -77,13 +96,24 @@ func TestPhilosophersRotationGroup(t *testing.T) {
 		if g.Order() != m {
 			t.Fatalf("m=%d: Order=%d, want %d (rotations only)", m, g.Order(), m)
 		}
-		orb := g.Orbit(0)
-		if len(orb) != m {
-			t.Fatalf("m=%d: |Orbit(phil0)|=%d, want %d", m, len(orb), m)
+		if orb := orbit(g, 0); len(orb) != m {
+			t.Fatalf("m=%d: |orbit(phil0)|=%d, want %d", m, len(orb), m)
 		}
-		orb = g.Orbit(m) // fork 0
-		if len(orb) != m || int(orb[0]) != m {
-			t.Fatalf("m=%d: Orbit(fork0)=%v, want the %d forks", m, orb, m)
+		if orb := orbit(g, int32(m)); len(orb) != m || int(orb[0]) != m { // fork 0
+			t.Fatalf("m=%d: orbit(fork0)=%v, want the %d forks", m, orb, m)
+		}
+		// Every element fixes the joint start vector.
+		start := make([]uint32, n.Len())
+		for j := range start {
+			start[j] = uint32(n.Process(j).Start())
+		}
+		for ei := range g.Elems() {
+			img := applyElem(&g.Elems()[ei], start)
+			for j := range img {
+				if img[j] != start[j] {
+					t.Fatalf("m=%d: element %d moves the start vector to %v", m, ei, img)
+				}
+			}
 		}
 	}
 }
@@ -94,17 +124,8 @@ func TestPhilosophersPoliteTrivial(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := symred.Discover(n)
-	if !g.Trivial() {
+	if !g.Trivial() || g.Order() != 1 || len(g.Elems()) != 0 {
 		t.Fatalf("polite ring: Order=%d, want trivial (philosopher 0 is asymmetric)", g.Order())
-	}
-	cz := g.NewCanonizer()
-	vec := []uint32{0, 1, 2, 3, 0, 1, 0, 1, 0, 1, 0, 1}
-	dst := make([]uint32, len(vec))
-	if cz.Canon(vec, dst) {
-		t.Fatal("trivial group changed a vector")
-	}
-	if cz.OrbitSize(vec) != 1 {
-		t.Fatalf("trivial group OrbitSize=%d", cz.OrbitSize(vec))
 	}
 }
 
@@ -116,122 +137,10 @@ func TestCliqueSwapGroup(t *testing.T) {
 	if want := k*(k-1)/2 + 1; g.Order() != want {
 		t.Fatalf("clique(%d): Order=%d, want %d", k, g.Order(), want)
 	}
-	if len(g.Orbit(2)) != k {
-		t.Fatalf("leaf orbit %v, want all %d leaves", g.Orbit(2), k)
+	if orb := orbit(g, 2); len(orb) != k {
+		t.Fatalf("leaf orbit %v, want all %d leaves", orb, k)
 	}
-	if len(g.Orbit(0)) != 1 || len(g.Orbit(1)) != 1 {
+	if len(orbit(g, 0)) != 1 || len(orbit(g, 1)) != 1 {
 		t.Fatal("P and Hub must be fixed points")
 	}
-	// Every element fixes P and P's actions, so the dist-subgroup for
-	// dist=0 keeps the whole group.
-	sub := g.DistSubgroup(0)
-	if sub.Order() != g.Order() {
-		t.Fatalf("DistSubgroup(0): Order=%d, want %d", sub.Order(), g.Order())
-	}
-	// Canonicalization sorts the interchangeable leaf block: vectors
-	// that differ only by a leaf permutation collapse.
-	cz := g.NewCanonizer()
-	a := []uint32{0, 0, 1, 0, 0, 1, 0}
-	b := []uint32{0, 0, 0, 0, 1, 0, 1}
-	ca, cb := make([]uint32, len(a)), make([]uint32, len(b))
-	cz.Canon(a, ca)
-	cz.Canon(b, cb)
-	for i := range ca {
-		if ca[i] != cb[i] {
-			t.Fatalf("leaf-permuted vectors canonicalize differently: %v vs %v", ca, cb)
-		}
-	}
-	// OrbitSize counts single-application images: from {leaf0, leaf3}
-	// waiting, one transposition reaches {x,3} and {0,x} for the three
-	// other leaves, plus the set itself — 7 distinct images.
-	if got := cz.OrbitSize(a); got != 7 {
-		t.Fatalf("OrbitSize=%d, want 7", got)
-	}
-}
-
-func TestPhilosophersDistSubgroupTrivial(t *testing.T) {
-	n := philosophers(t, 6)
-	g := symred.Discover(n)
-	// Every rotation moves philosopher 0, so the S_a subgroup is trivial
-	// on rings — the belief quotient only bites on hub-and-spoke shapes.
-	if sub := g.DistSubgroup(0); !sub.Trivial() {
-		t.Fatalf("ring DistSubgroup(0): Order=%d, want trivial", sub.Order())
-	}
-}
-
-func TestCanonOrbitInvariance(t *testing.T) {
-	n := philosophers(t, 7)
-	g := symred.Discover(n)
-	cz := g.NewCanonizer()
-	m := n.Len()
-	sizes := make([]uint32, m)
-	for j := 0; j < m; j++ {
-		sizes[j] = uint32(n.Process(j).NumStates())
-	}
-	rng := rand.New(rand.NewSource(42))
-	vec := make([]uint32, m)
-	dst := make([]uint32, m)
-	dst2 := make([]uint32, m)
-	for trial := 0; trial < 200; trial++ {
-		for j := range vec {
-			vec[j] = uint32(rng.Intn(int(sizes[j])))
-		}
-		cz.Canon(vec, dst)
-		// Canon is constant on the orbit: every element image of vec must
-		// canonicalize to the same representative, and the representative
-		// itself is a fixpoint (idempotence).
-		cz.Canon(dst, dst2)
-		for i := range dst {
-			if dst[i] != dst2[i] {
-				t.Fatalf("canon not idempotent: %v then %v", dst, dst2)
-			}
-		}
-		for ei := 0; ei < g.Order()-1; ei++ {
-			img := applyElem(elemAt(t, g, ei), vec)
-			cz.Canon(img, dst2)
-			for i := range dst {
-				if dst[i] != dst2[i] {
-					t.Fatalf("canon(%v)=%v but canon(g·vec=%v)=%v", vec, dst, img, dst2)
-				}
-			}
-		}
-	}
-}
-
-func TestCanonPermTracksComponents(t *testing.T) {
-	n := philosophers(t, 8)
-	g := symred.Discover(n)
-	cz := g.NewCanonizer()
-	m := n.Len()
-	rng := rand.New(rand.NewSource(7))
-	vec, dst := make([]uint32, m), make([]uint32, m)
-	pi := make([]int32, m)
-	for trial := 0; trial < 100; trial++ {
-		for j := 0; j < 8; j++ {
-			vec[j] = uint32(rng.Intn(4))
-			vec[8+j] = uint32(rng.Intn(3))
-		}
-		cz.CanonPerm(vec, dst, pi)
-		seen := make([]bool, m)
-		for j := range pi {
-			if pi[j] < 0 || int(pi[j]) >= m || seen[pi[j]] {
-				t.Fatalf("pi not a permutation: %v", pi)
-			}
-			seen[pi[j]] = true
-			// Rotations have identity σ on the shared state shapes, so the
-			// component j of vec must reappear verbatim at dst[pi[j]].
-			if dst[pi[j]] != vec[j] {
-				t.Fatalf("dst[pi[%d]]=%d, want vec[%d]=%d (pi=%v)", j, dst[pi[j]], j, vec[j], pi)
-			}
-		}
-	}
-}
-
-func elemAt(t *testing.T, g *symred.Group, ei int) *symred.Elem {
-	t.Helper()
-	es := g.Elems()
-	if ei >= len(es) {
-		t.Fatalf("element %d out of range %d", ei, len(es))
-	}
-	return &es[ei]
 }
