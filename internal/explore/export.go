@@ -6,8 +6,8 @@ import (
 )
 
 // This file is the exported reuse surface of the engine's internals —
-// the compiled action-owner machine and the context-move enumerator —
-// for solvers outside this package that walk the same joint space
+// the compiled action-owner machine, the context-move enumerator and
+// the context-divergence probe walk — for solvers outside this package that walk the same joint space
 // without composing the context; the Interner they record vectors in is
 // exported from bfs.go. Its one consumer today is internal/game/belief,
 // the compose-free S_a engine.
