@@ -100,7 +100,8 @@ func SolveAcyclic(n *network.Network, i int, o game.Options) (bool, Stats, error
 	return SolveAcyclicTuned(n, i, o, Tuning{})
 }
 
-// SolveAcyclicTuned is SolveAcyclic with an explicit engine Tuning.
+// SolveAcyclicTuned is SolveAcyclic with an explicit engine Tuning. The
+// acyclic game has no probe, so no Tuning field changes it.
 func SolveAcyclicTuned(n *network.Network, i int, o game.Options, t Tuning) (bool, Stats, error) {
 	M, err := explore.Compile(n, i)
 	if err != nil {

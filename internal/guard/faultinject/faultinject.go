@@ -6,7 +6,7 @@
 // uncancelled run contradicts.
 //
 // Hooks are immutable and therefore trivially safe for concurrent use
-// by the solvers' parallel sweeps.
+// by the analyses that share one governor.
 package faultinject
 
 import (

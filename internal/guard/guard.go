@@ -59,7 +59,7 @@ func IsLimit(err error) bool {
 
 // Hook intercepts governor polls — the fault-injection seam used by
 // guard/faultinject. Implementations must be safe for concurrent use:
-// BFS workers consult Panic from multiple goroutines.
+// the analyses AnalyzeAll runs at once share one G and its Hook.
 type Hook interface {
 	// Fire returns a non-nil reason (wrapping ErrCanceled or ErrDeadline)
 	// to make the poll at (pass, level) report exhaustion.
