@@ -115,11 +115,12 @@ bench-smoke:
 perf:
 	bash cmd/fspperf/bench.sh
 
-# perf-smoke is the short run CI executes for its verdict check: the two
-# cold workloads, 3 seconds each. fspperf exits 1 on any wrong verdict
-# or failed step.
+# perf-smoke is the short run CI executes for its verdict check: every
+# workload, 3 seconds each, so fsprouter, batches, lint, single-flight
+# and the verdict store are checked as well as fspd's cold solves.
+# fspperf exits 1 on any wrong verdict or failed step.
 perf-smoke:
-	bash cmd/fspperf/bench.sh --workload reach-cold,all-cold --seed 1 --seconds 3 --trace 0
+	bash cmd/fspperf/bench.sh --workload all --seed 1 --seconds 3 --trace 0
 
 experiments:
 	$(GO) run ./cmd/fspbench

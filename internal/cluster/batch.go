@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"fspnet/internal/serve"
-	"fspnet/internal/verdictjson"
 )
 
 // batchMember is one routed batch item in flight: its position in the
@@ -28,23 +27,8 @@ type batchMember struct {
 // same digest, same ring walk — so worker-side deduplication still sees
 // every duplicate and the summed unique counts are exact.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := serve.ReadBody(r, rt.cfg.MaxBatchBytes)
-	if err != nil {
-		writeError(w, bodyErrorCode(err), "%v", err)
-		return
-	}
-	var breq serve.BatchRequest
-	if err := json.Unmarshal(body, &breq); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding JSON body: %v", err)
-		return
-	}
-	if len(breq.Items) == 0 {
-		writeError(w, http.StatusBadRequest, "batch has no items")
-		return
-	}
-	if len(breq.Items) > rt.cfg.MaxBatchItems {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			"batch has %d items, limit is %d", len(breq.Items), rt.cfg.MaxBatchItems)
+	items, ok := serve.ReadBatch(w, r, rt.cfg.MaxBatchBytes, rt.cfg.MaxBatchItems)
+	if !ok {
 		return
 	}
 	// A batch occupies one in-flight slot for its whole life: shedding
@@ -52,31 +36,26 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// for the batch — never a spurious ring failover mid-split.
 	if !rt.cluster.acquire() {
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "router is at capacity (%d forwards in flight)", rt.cfg.Cluster.MaxInflight)
+		serve.WriteError(w, http.StatusTooManyRequests, "router is at capacity (%d forwards in flight)", rt.cfg.Cluster.MaxInflight)
 		rt.rejected.Add(1)
 		return
 	}
 	defer rt.cluster.release()
 	rt.batches.Add(1)
-	rt.batchItems.Add(int64(len(breq.Items)))
+	rt.batchItems.Add(int64(len(items)))
 
 	// Canonicalize every item with the worker's own functions; an item
 	// the workers would reject never spends a forward.
-	out := make([]serve.AnalyzeResponse, len(breq.Items))
-	pending := make([]*batchMember, 0, len(breq.Items))
-	for i := range breq.Items {
-		req := breq.Items[i]
+	out := make([]serve.AnalyzeResponse, len(items))
+	pending := make([]*batchMember, 0, len(items))
+	for i, req := range items {
 		if int64(len(req.Network)) > rt.cfg.MaxBodyBytes {
-			out[i] = serve.AnalyzeResponse{Record: verdictjson.Record{
-				Status: verdictjson.StatusError, Error: serve.ErrBodyTooLarge.Error(),
-			}}
+			out[i] = serve.ItemError(serve.ErrBodyTooLarge.Error())
 			continue
 		}
 		c, err := rt.canon.Resolve(&req)
 		if err != nil {
-			out[i] = serve.AnalyzeResponse{Record: verdictjson.Record{
-				Status: verdictjson.StatusError, Error: err.Error(),
-			}}
+			out[i] = serve.ItemError(err.Error())
 			continue
 		}
 		pending = append(pending, &batchMember{idx: i, req: req, digest: c.Digest, tried: map[int]bool{}})
@@ -94,10 +73,10 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		for _, m := range pending {
 			wi, ok := rt.pickWorker(m.digest, m.tried)
 			if !ok {
-				out[m.idx] = serve.AnalyzeResponse{
-					Digest: m.digest, Mode: m.req.Mode, Predicates: m.req.Predicates,
-					Record: verdictjson.Record{Status: verdictjson.StatusError, Error: errAllWorkersDown.Error()},
-				}
+				resp := serve.ItemError(errAllWorkersDown.Error())
+				resp.Digest, resp.Mode, resp.Predicates = m.digest, m.req.Mode, m.req.Predicates
+				out[m.idx] = resp
+				rt.cluster.errAll.Add(1)
 				continue
 			}
 			groups[wi] = append(groups[wi], m)
@@ -140,7 +119,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, serve.BatchResponse{Items: out, Uniques: uniques})
+	serve.WriteJSON(w, http.StatusOK, serve.BatchResponse{Items: out, Uniques: uniques})
 }
 
 // pickWorker returns the first candidate for digest that this item has

@@ -1,17 +1,12 @@
 package cluster
 
 import (
-	"errors"
-	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"fspnet/internal/fsplang"
 	"fspnet/internal/serve"
-	"fspnet/internal/verdictjson"
 )
 
 // RouterConfig wires a Router around a Cluster config.
@@ -26,9 +21,6 @@ type RouterConfig struct {
 	// MaxBatchBytes and MaxBatchItems cap a batch request the same way.
 	MaxBatchBytes int64
 	MaxBatchItems int
-	// StatusTimeout bounds each worker /statusz scrape during
-	// aggregation; ≤ 0 means 2s.
-	StatusTimeout time.Duration
 }
 
 // Router fronts a set of fspd workers with the single-worker API:
@@ -46,15 +38,13 @@ type Router struct {
 	canon   *serve.Canonicalizer
 	mux     *http.ServeMux
 	start   time.Time
+	health  serve.Health
 
 	requests   atomic.Int64
 	batches    atomic.Int64
 	batchItems atomic.Int64
 	proxied    atomic.Int64
 	rejected   atomic.Int64
-
-	mu       sync.Mutex
-	draining bool
 }
 
 // NewRouter builds the router and starts its cluster's health prober.
@@ -72,9 +62,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.MaxBatchItems <= 0 {
 		cfg.MaxBatchItems = serve.DefaultMaxBatchItems
 	}
-	if cfg.StatusTimeout <= 0 {
-		cfg.StatusTimeout = 2 * time.Second
-	}
 	// The edge memo holds as many requests as the workers' verdict caches
 	// do together at their default size.
 	rt := &Router{
@@ -84,7 +71,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		mux:     http.NewServeMux(),
 		start:   time.Now(), //fsplint:ignore detrand uptime anchor
 	}
-	rt.mux.HandleFunc("GET /healthz", rt.handleHealth)
+	rt.mux.Handle("GET /healthz", &rt.health)
 	rt.mux.HandleFunc("GET /statusz", rt.handleStatus)
 	rt.mux.HandleFunc("POST /v1/analyze", rt.handleAnalyze)
 	rt.mux.HandleFunc("POST /v1/analyze/batch", rt.handleBatch)
@@ -101,27 +88,12 @@ func (rt *Router) Cluster() *Cluster { return rt.cluster }
 
 // StartDrain flips /healthz to 503 so load balancers stop sending new
 // work; in-flight forwards complete normally.
-func (rt *Router) StartDrain() {
-	rt.mu.Lock()
-	rt.draining = true
-	rt.mu.Unlock()
-}
+func (rt *Router) StartDrain() { rt.health.Drain() }
 
 // Close stops the health prober.
 func (rt *Router) Close() error {
 	rt.cluster.Close()
 	return nil
-}
-
-func (rt *Router) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	rt.mu.Lock()
-	draining := rt.draining
-	rt.mu.Unlock()
-	if draining {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleAnalyze routes one analyze request: canonicalize at the edge to
@@ -131,17 +103,17 @@ func (rt *Router) handleHealth(w http.ResponseWriter, _ *http.Request) {
 func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	body, err := serve.ReadBody(r, rt.cfg.MaxBodyBytes)
 	if err != nil {
-		writeError(w, bodyErrorCode(err), "%v", err)
+		serve.WriteError(w, serve.BodyErrorCode(err), "%v", err)
 		return
 	}
 	req, err := serve.DecodeAnalyzeBody(body, r.Header.Get("Content-Type"), r.URL.Query())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		serve.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	c, err := rt.canon.Resolve(&req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		serve.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	rt.requests.Add(1)
@@ -155,21 +127,20 @@ func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleLint(w http.ResponseWriter, r *http.Request) {
 	body, err := serve.ReadBody(r, rt.cfg.MaxBodyBytes)
 	if err != nil {
-		writeError(w, bodyErrorCode(err), "%v", err)
+		serve.WriteError(w, serve.BodyErrorCode(err), "%v", err)
 		return
 	}
 	req, err := serve.DecodeAnalyzeBody(body, r.Header.Get("Content-Type"), r.URL.Query())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		serve.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	spec, err := fsplang.ParseSpec(req.Network)
+	_, digest, err := serve.LintKey(req.Network)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "parsing network: %v", err)
+		serve.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	rt.requests.Add(1)
-	digest := serve.LintDigest(fsplang.FormatSpec(spec))
 	rt.relay(w, digest, http.MethodPost, r.URL.RequestURI(), r.Header.Get("Content-Type"), body)
 }
 
@@ -177,7 +148,7 @@ func (rt *Router) handleLint(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleVerdict(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")
 	if !serve.WellFormedDigest(digest) {
-		writeError(w, http.StatusBadRequest, "malformed digest %q (want 64 lowercase hex characters)", digest)
+		serve.WriteError(w, http.StatusBadRequest, "malformed digest %q (want 64 lowercase hex characters)", digest)
 		return
 	}
 	rt.requests.Add(1)
@@ -191,14 +162,14 @@ func (rt *Router) handleVerdict(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) relay(w http.ResponseWriter, digest, method, pathAndQuery, contentType string, body []byte) {
 	if !rt.cluster.acquire() {
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "router is at capacity (%d forwards in flight)", rt.cfg.Cluster.MaxInflight)
+		serve.WriteError(w, http.StatusTooManyRequests, "router is at capacity (%d forwards in flight)", rt.cfg.Cluster.MaxInflight)
 		rt.rejected.Add(1)
 		return
 	}
 	defer rt.cluster.release()
 	resp, err := rt.cluster.forward(digest, method, pathAndQuery, contentType, body)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "%v", err)
+		serve.WriteError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
 	defer resp.Body.Close()
@@ -211,26 +182,4 @@ func (rt *Router) relay(w http.ResponseWriter, digest, method, pathAndQuery, con
 	}
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body) //nolint:errcheck
-}
-
-// bodyErrorCode mirrors the workers' mapping: over-cap 413, else 400.
-func bodyErrorCode(err error) int {
-	if errors.Is(err, serve.ErrBodyTooLarge) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = verdictjson.Encode(w, v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
 }

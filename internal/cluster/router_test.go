@@ -714,7 +714,8 @@ func TestRouterAllWorkersDown(t *testing.T) {
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Errorf("single with dead cluster: status %d, want 502", resp.StatusCode)
 	}
-	if rt.Snapshot().Errors == 0 {
+	errs := rt.Snapshot().Errors
+	if errs == 0 {
 		t.Error("errors counter = 0 after exhausting the ring")
 	}
 
@@ -725,5 +726,43 @@ func TestRouterAllWorkersDown(t *testing.T) {
 	}
 	if bresp.Items[0].Record.Status != "error" || !strings.Contains(bresp.Items[0].Record.Error, "no reachable worker") {
 		t.Errorf("batch item = %+v, want no-reachable-worker error record", bresp.Items[0].Record)
+	}
+	// Each batch item that exhausts the ring counts like a single request.
+	if got := rt.Snapshot().Errors; got != errs+1 {
+		t.Errorf("errors = %d after a one-item batch exhausted the ring, want %d", got, errs+1)
+	}
+}
+
+// TestRouterHealthDrain: StartDrain flips the router's /healthz to 503
+// so load balancers steer away, while analyze traffic still routes.
+func TestRouterHealthDrain(t *testing.T) {
+	w0 := newTestWorker(t, serve.Config{Workers: 1})
+	rt, ts := newTestRouter(t, []string{w0.url()}, nil)
+	health := func() (int, string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body struct {
+			Status string `json:"status"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body.Status
+	}
+	if code, status := health(); code != http.StatusOK || status != "ok" {
+		t.Fatalf("healthz before drain = %d %q, want 200 ok", code, status)
+	}
+	rt.StartDrain()
+	if code, status := health(); code != http.StatusServiceUnavailable || status != "draining" {
+		t.Fatalf("healthz after StartDrain = %d %q, want 503 draining", code, status)
+	}
+	resp, ar := postJSON(t, ts.URL, serve.AnalyzeRequest{Network: netA})
+	if resp.StatusCode != http.StatusOK || ar.Record.Status != "ok" {
+		t.Errorf("analyze during router drain = %d status %q, want a full 200 verdict",
+			resp.StatusCode, ar.Record.Status)
 	}
 }

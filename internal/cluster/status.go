@@ -55,7 +55,7 @@ type RouterStats struct {
 	// batch traffic; Proxied counts forwards answered by a worker;
 	// Failovers counts per-worker forward failures that moved a request
 	// along its ring; Rejected counts router-capacity 429s; Errors counts
-	// requests that exhausted the ring.
+	// requests and batch items that exhausted the ring.
 	Requests   int64 `json:"requests"`
 	Batches    int64 `json:"batches"`
 	BatchItems int64 `json:"batchItems"`
@@ -77,8 +77,11 @@ type RouterStats struct {
 	Runtime serve.RuntimeStats `json:"runtime"`
 }
 
+// statusTimeout bounds each worker /statusz scrape during aggregation.
+const statusTimeout = 2 * time.Second
+
 // Snapshot scrapes every worker's /statusz (concurrently, each under
-// StatusTimeout) and folds the answers into one cluster view.
+// statusTimeout) and folds the answers into one cluster view.
 func (rt *Router) Snapshot() RouterStats {
 	workers := rt.cluster.ring.Workers()
 	out := RouterStats{
@@ -132,7 +135,7 @@ func (rt *Router) scrapeWorker(wi int) WorkerStatus {
 		Readmissions: hs.readmissions,
 		LastError:    hs.lastErr,
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.StatusTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), statusTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, hs.url+"/statusz", nil)
 	if err != nil {
@@ -160,5 +163,5 @@ func (rt *Router) scrapeWorker(wi int) WorkerStatus {
 }
 
 func (rt *Router) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, rt.Snapshot())
+	serve.WriteJSON(w, http.StatusOK, rt.Snapshot())
 }

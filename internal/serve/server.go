@@ -34,14 +34,9 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"net/url"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -71,11 +66,6 @@ const (
 	// DefaultMaxBatchItems bounds the item count of one batch request.
 	DefaultMaxBatchItems = 256
 )
-
-// ErrBodyTooLarge marks a request body over the configured byte cap; the
-// handlers map it to 413 Content Too Large. Wrapped errors carry the
-// limit that was exceeded.
-var ErrBodyTooLarge = errors.New("request body too large")
 
 // Predicate sets a request may ask for.
 const (
@@ -134,32 +124,26 @@ type Config struct {
 // Server is one analysis service instance. It is safe for concurrent use
 // and is normally mounted via Handler on an http.Server owned by cmd/fspd.
 type Server struct {
-	cfg   Config
-	canon *Canonicalizer
-	cache *lru[verdictjson.Record]
-	lints *lru[[]speclint.Diagnostic]
-	admit chan struct{} // admission tickets: Workers + QueueDepth
-	slots chan struct{} // running tickets: Workers
-	c     counters
-	lat   *latencyRecorder
-	bel   *beliefRecorder
-	exp   *exploreRecorder
-	store *storeKeeper
-	start time.Time
-	mux   *http.ServeMux
+	cfg     Config
+	canon   *Canonicalizer
+	cache   *lru[verdictjson.Record]
+	lints   *lru[[]speclint.Diagnostic]
+	admit   chan struct{} // admission tickets: Workers + QueueDepth
+	slots   chan struct{} // running tickets: Workers
+	c       counters
+	classes classRecorder
+	store   *storeKeeper
+	start   time.Time
+	mux     *http.ServeMux
+	health  Health
+
+	// drain is the parent of every flight's run context; CancelInflight
+	// cancels it.
+	drain       context.Context
+	cancelDrain context.CancelFunc
 
 	flightMu sync.Mutex         // guards flights and every flight's waiters
 	flights  map[string]*flight // in-progress analyses by dedup key
-
-	mu       sync.Mutex // guards the drain flags and cancels
-	draining bool       // in-flight analyses are being canceled
-	// healthDraining flips /healthz to 503 the moment shutdown begins, so
-	// load balancers stop routing here while queued analyses still finish
-	// inside the grace period. draining implies healthDraining, not the
-	// reverse.
-	healthDraining bool
-	nextRun        int64
-	cancels        map[int64]context.CancelFunc // in-flight analysis governors
 }
 
 // New builds a Server from cfg.
@@ -189,13 +173,10 @@ func New(cfg Config) *Server {
 		lints: newLRU[[]speclint.Diagnostic](cfg.CacheEntries),
 		admit: make(chan struct{}, cfg.Workers+cfg.QueueDepth),
 		slots: make(chan struct{}, cfg.Workers),
-		lat:   newLatencyRecorder(),
-		bel:   newBeliefRecorder(),
-		exp:   newExploreRecorder(),
 	}
+	s.drain, s.cancelDrain = context.WithCancel(context.Background())
 	s.flights = make(map[string]*flight)
 	s.start = time.Now() //fsplint:ignore detrand uptime anchor for /statusz
-	s.cancels = make(map[int64]context.CancelFunc)
 	s.store = newStoreKeeper(cfg.Store, cfg.Logf)
 	// The store is an L2 under the LRU: an eviction drops only the
 	// in-memory copy, and the next request for the digest reads through to
@@ -210,7 +191,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/analyze/batch", s.handleBatch)
 	s.mux.HandleFunc("POST /v1/lint", s.handleLint)
 	s.mux.HandleFunc("GET /v1/verdict/{digest}", s.handleVerdict)
-	s.mux.HandleFunc("GET /healthz", s.handleHealth)
+	s.mux.Handle("GET /healthz", &s.health)
 	s.mux.HandleFunc("GET /statusz", s.handleStatus)
 	return s
 }
@@ -218,20 +199,16 @@ func New(cfg Config) *Server {
 // Handler returns the HTTP handler tree.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// CancelInflight cancels the governor of every in-flight analysis; each
-// stops at its next poll and its handler responds with the partial
-// verdict. The SIGTERM drain path arms this after the grace period so
-// http.Server.Shutdown can finish. When it returns, every in-flight
-// governor context is already canceled, and analyses admitted afterwards
-// start canceled.
+// CancelInflight cancels the drain context every analysis's governor
+// context descends from; each run stops at its next poll and its handler
+// responds with the partial verdict. The SIGTERM drain path arms this
+// after the grace period so http.Server.Shutdown can finish. The context
+// package makes both promises: when it returns, every in-flight governor
+// context is already canceled, and analyses admitted afterwards start
+// canceled. /healthz answers 503 from here on.
 func (s *Server) CancelInflight() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.draining = true
-	s.healthDraining = true
-	for _, cancel := range s.cancels {
-		cancel()
-	}
+	s.health.Drain()
+	s.cancelDrain()
 }
 
 // StartDrain marks the server as draining for health checks: /healthz
@@ -239,11 +216,7 @@ func (s *Server) CancelInflight() {
 // traffic — including queued work — still runs to completion. cmd/fspd
 // calls this at SIGTERM, ahead of the grace period that ends in
 // CancelInflight.
-func (s *Server) StartDrain() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.healthDraining = true
-}
+func (s *Server) StartDrain() { s.health.Drain() }
 
 // Close releases the server's persistent store (syncing and closing its
 // segments). In-flight write-throughs after Close are dropped, never
@@ -252,30 +225,10 @@ func (s *Server) Close() error {
 	return s.store.close()
 }
 
-// registerCancel enrolls an in-flight analysis governor with the drain
-// path. The returned func unregisters it. If a drain already started the
-// context is canceled before the analysis begins.
-func (s *Server) registerCancel(cancel context.CancelFunc) func() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		cancel()
-		return func() {}
-	}
-	id := s.nextRun
-	s.nextRun++
-	s.cancels[id] = cancel
-	return func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		delete(s.cancels, id)
-	}
-}
-
 // Snapshot returns the current Stats.
 func (s *Server) Snapshot() Stats {
 	canonHits, canonMisses := s.canon.Counts()
-	return Stats{
+	st := Stats{
 		Requests:      s.c.requests.Load(),
 		Hits:          s.c.hits.Load(),
 		DiskHits:      s.c.diskHits.Load(),
@@ -301,10 +254,9 @@ func (s *Server) Snapshot() Stats {
 		Store:         s.store.snapshot(),
 		Uptime:        time.Since(s.start).Round(time.Millisecond).String(), //fsplint:ignore detrand uptime for /statusz
 		Runtime:       ReadRuntime(),
-		Latency:       s.lat.snapshot(),
-		Belief:        s.bel.snapshot(),
-		Explore:       s.exp.snapshot(),
 	}
+	s.classes.snapshot(&st)
+	return st
 }
 
 // AnalyzeRequest is the POST /v1/analyze JSON body. A request may instead
@@ -331,6 +283,10 @@ type AnalyzeRequest struct {
 	Lint bool `json:"lint,omitempty"`
 }
 
+// classOf is the request's "<mode>/<predicates>" key in /statusz and the
+// Retry-After hint; req must be resolved.
+func classOf(req AnalyzeRequest) string { return req.Mode + "/" + req.Predicates }
+
 // AnalyzeResponse is the POST /v1/analyze (and GET /v1/verdict) reply
 // envelope around the shared verdictjson.Record.
 type AnalyzeResponse struct {
@@ -354,33 +310,8 @@ type lintResponse struct {
 	Diagnostics []speclint.Diagnostic `json:"diagnostics"`
 }
 
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = verdictjson.Encode(w, v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	draining := s.healthDraining
-	s.mu.Unlock()
-	if draining {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
 func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Snapshot())
+	WriteJSON(w, http.StatusOK, s.Snapshot())
 }
 
 // WellFormedDigest reports whether digest looks like a verdict digest:
@@ -403,88 +334,15 @@ func WellFormedDigest(digest string) bool {
 func (s *Server) handleVerdict(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")
 	if !WellFormedDigest(digest) {
-		writeError(w, http.StatusBadRequest, "malformed digest %q (want 64 lowercase hex characters)", digest)
+		WriteError(w, http.StatusBadRequest, "malformed digest %q (want 64 lowercase hex characters)", digest)
 		return
 	}
-	rec, ok := s.cache.get(digest)
+	rec, ok := s.lookup(digest)
 	if !ok {
-		// Read through to the persistent store: the digest may have been
-		// evicted from memory while its record is still on disk.
-		if rec, ok = s.store.get(digest); ok {
-			s.c.diskHits.Add(1)
-			s.cache.add(digest, rec)
-		}
-	}
-	if !ok {
-		writeError(w, http.StatusNotFound, "no cached verdict for digest %s", digest)
+		WriteError(w, http.StatusNotFound, "no cached verdict for digest %s", digest)
 		return
 	}
-	writeJSON(w, http.StatusOK, AnalyzeResponse{Digest: digest, Cached: true, Record: rec})
-}
-
-// ReadBody drains r's body up to limit bytes; one byte over returns
-// ErrBodyTooLarge (the 413 path).
-func ReadBody(r *http.Request, limit int64) ([]byte, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
-	if err != nil {
-		return nil, fmt.Errorf("reading body: %w", err)
-	}
-	if int64(len(body)) > limit {
-		return nil, fmt.Errorf("%w: body exceeds %d bytes", ErrBodyTooLarge, limit)
-	}
-	return body, nil
-}
-
-// ParseAnalyzeBody reads r's body under the byte cap and decodes it with
-// DecodeAnalyzeBody.
-func ParseAnalyzeBody(r *http.Request, limit int64) (AnalyzeRequest, error) {
-	body, err := ReadBody(r, limit)
-	if err != nil {
-		return AnalyzeRequest{}, err
-	}
-	return DecodeAnalyzeBody(body, r.Header.Get("Content-Type"), r.URL.Query())
-}
-
-// DecodeAnalyzeBody decodes either encoding of an analyze request body —
-// a JSON AnalyzeRequest, or a raw fsplang source with the parameters in
-// the query string. cmd/fsprouter decodes the bytes it has already read
-// with the same function the workers use, so the two tiers can never
-// disagree about what a request means.
-func DecodeAnalyzeBody(body []byte, contentType string, q url.Values) (AnalyzeRequest, error) {
-	var req AnalyzeRequest
-	if strings.HasPrefix(contentType, "application/json") {
-		if err := json.Unmarshal(body, &req); err != nil {
-			return AnalyzeRequest{}, fmt.Errorf("decoding JSON body: %w", err)
-		}
-	} else {
-		// Raw fsplang body; parameters ride in the query string.
-		req.Network = string(body)
-		if v := q.Get("process"); v != "" {
-			p, err := strconv.Atoi(v)
-			if err != nil {
-				return AnalyzeRequest{}, fmt.Errorf("bad process parameter %q", v)
-			}
-			req.Process = p
-		}
-		req.Mode = q.Get("mode")
-		req.Predicates = q.Get("predicates")
-		req.Timeout = q.Get("timeout")
-		if v := q.Get("lint"); v != "" {
-			b, err := strconv.ParseBool(v)
-			if err != nil {
-				return AnalyzeRequest{}, fmt.Errorf("bad lint parameter %q", v)
-			}
-			req.Lint = b
-		}
-		if v := q.Get("budget"); v != "" {
-			b, err := strconv.Atoi(v)
-			if err != nil {
-				return AnalyzeRequest{}, fmt.Errorf("bad budget parameter %q", v)
-			}
-			req.Budget = b
-		}
-	}
-	return req, nil
+	WriteJSON(w, http.StatusOK, AnalyzeResponse{Digest: digest, Cached: true, Record: rec})
 }
 
 // requestDeadline lowers the request timeout onto an absolute deadline,
@@ -511,7 +369,7 @@ func (s *Server) requestDeadline(req AnalyzeRequest) (time.Time, error) {
 // header carries integral seconds, and an empty ring means the server
 // has no evidence the backlog clears faster than that).
 func (s *Server) retryAfterSeconds(class string) int {
-	p90 := s.lat.p90(class)
+	p90 := s.classes.p90(class)
 	secs := int((p90 + time.Second - 1) / time.Second)
 	if secs < 1 {
 		secs = 1
@@ -533,147 +391,154 @@ func (s *Server) requestBudget(req AnalyzeRequest) int {
 // line/col into the canonical text the response carries.
 const lintFile = "network.fsp"
 
-// lintCanonical returns the diagnostics for a canonical network text,
-// from the lint cache when possible. The canonical text always reparses
-// (FormatSpec output is idempotent), so there is no error path.
-func (s *Server) lintCanonical(canonical string) (digest string, diags []speclint.Diagnostic, cached bool) {
-	digest = LintDigest(canonical)
-	if diags, ok := s.lintHit(digest); ok {
-		return digest, diags, true
-	}
-	return digest, s.runLint(digest, canonical), false
-}
-
-// warnings returns the diagnostics attached to a lint=true analysis: from
-// the lint cache by the memoized lint digest, or, on a lint-cache miss,
-// by canonicalizing again.
-func (s *Server) warnings(cr *canonReq) []speclint.Diagnostic {
-	if diags, ok := s.lintHit(cr.LintDigest); ok {
-		return diags
-	}
-	canonical, err := cr.canonical()
-	if err != nil {
-		return nil // unreachable: the memo saw this text parse
-	}
-	return s.runLint(cr.LintDigest, canonical)
-}
-
-// lintHit serves a lint digest from the lint cache.
-func (s *Server) lintHit(digest string) ([]speclint.Diagnostic, bool) {
-	diags, ok := s.lints.get(digest)
-	if ok {
+// lint serves the diagnostics of a lint digest from the lint cache, and on
+// a miss lints the canonical text that canonical returns and caches the
+// result. /v1/lint and lint=true both come through here; the second
+// passes canonReq.canonical, which formats again only on a miss after a
+// memo hit.
+func (s *Server) lint(digest string, canonical func() (string, error)) (diags []speclint.Diagnostic, cached bool) {
+	if diags, ok := s.lints.get(digest); ok {
 		s.c.lintHits.Add(1)
+		return diags, true
 	}
-	return diags, ok
-}
-
-// runLint runs speclint over a canonical network text and caches the
-// diagnostics under its lint digest.
-func (s *Server) runLint(digest, canonical string) []speclint.Diagnostic {
-	spec, err := fsplang.ParseSpec(canonical)
+	text, err := canonical()
 	if err != nil {
-		// Unreachable by construction; fail closed with no diagnostics
-		// rather than panicking in a handler.
-		return nil
+		return nil, false // unreachable: the memo saw this text parse
 	}
-	diags := speclint.RunSpec(lintFile, spec, nil)
+	spec, err := fsplang.ParseSpec(text)
+	if err != nil {
+		// Unreachable by construction (FormatSpec output is idempotent);
+		// fail closed with no diagnostics rather than panicking in a handler.
+		return nil, false
+	}
+	diags = speclint.RunSpec(lintFile, spec, nil)
 	if diags == nil {
 		diags = []speclint.Diagnostic{}
 	}
 	s.c.lintMisses.Add(1)
 	s.lints.add(digest, diags)
-	return diags
+	return diags, false
 }
 
 func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 	req, err := ParseAnalyzeBody(r, s.cfg.MaxBodyBytes)
 	if err != nil {
-		writeError(w, bodyErrorCode(err), "%v", err)
+		WriteError(w, BodyErrorCode(err), "%v", err)
 		return
 	}
-	// The validation-free spec layer accepts every network the analyze
-	// parser does, plus ones it rejects (that is the point: an unmatched
-	// action comes back as a positioned diagnostic, not a 400).
-	spec, err := fsplang.ParseSpec(req.Network)
+	canonical, digest, err := LintKey(req.Network)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "parsing network: %v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.c.lints.Add(1)
-	canonical := fsplang.FormatSpec(spec)
-	digest, diags, cached := s.lintCanonical(canonical)
-	writeJSON(w, http.StatusOK, lintResponse{
+	diags, cached := s.lint(digest, func() (string, error) { return canonical, nil })
+	WriteJSON(w, http.StatusOK, lintResponse{
 		Digest: digest, Cached: cached, Canonical: canonical, Diagnostics: diags,
 	})
 }
 
-// bodyErrorCode maps a body-read or decode failure to its HTTP status:
-// over-cap is 413, everything else 400.
-func bodyErrorCode(err error) int {
-	if errors.Is(err, ErrBodyTooLarge) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
-}
-
+// handleAnalyze is one request through the two stages every batch item
+// also passes: prepare, then answer. The outcome picks the status.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	req, err := ParseAnalyzeBody(r, s.cfg.MaxBodyBytes)
 	if err != nil {
-		writeError(w, bodyErrorCode(err), "%v", err)
+		WriteError(w, BodyErrorCode(err), "%v", err)
 		return
 	}
+	it, err := s.prepare(req)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	s.answer(r.Context(), it, nil)
+	switch it.outcome {
+	case runRejected:
+		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds(classOf(it.req))))
+		WriteError(w, http.StatusTooManyRequests, "analysis queue is full (%d in flight or queued)", cap(s.admit))
+	case runCanceled:
+		// The client is gone; there is no one left to answer.
+	case runError:
+		WriteJSON(w, http.StatusUnprocessableEntity, it.resp)
+	default: // cacheHit, runOK, runPartial
+		WriteJSON(w, http.StatusOK, it.resp)
+	}
+}
+
+// item is one analyze request, a single call or a batch item, past
+// prepare: the request with its mode and predicates resolved, its
+// canonical form, its deadline, and the response and outcome answer
+// fills in.
+type item struct {
+	req      AnalyzeRequest
+	cr       canonReq
+	deadline time.Time
+	resp     AnalyzeResponse
+	outcome  runOutcome
+}
+
+// prepare is the first stage: canonicalize through the memo, validate
+// the timeout and anchor the deadline (so time spent queued counts
+// against it), count the request, and attach lint warnings. An error is
+// the client's fault: a single request answers 400, a batch item an
+// error record.
+func (s *Server) prepare(req AnalyzeRequest) (*item, error) {
 	cr, err := s.canon.resolve(&req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, err
 	}
 	deadline, err := s.requestDeadline(req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, err
 	}
 	s.c.requests.Add(1)
-
-	var warnings []speclint.Diagnostic
+	it := &item{req: req, cr: cr, deadline: deadline, resp: AnalyzeResponse{
+		Digest: cr.Digest, Mode: req.Mode, Predicates: req.Predicates,
+	}}
 	if req.Lint {
-		warnings = s.warnings(&cr)
+		it.resp.Warnings, _ = s.lint(cr.LintDigest, it.cr.canonical)
 	}
-	digest := cr.Digest
-	if rec, ok := s.lookup(digest); ok {
+	return it, nil
+}
+
+// answer is the second stage: it serves the item from the LRU or the
+// store, or else solves it, and leaves the response and outcome in it. A
+// batch passes its WaitGroup, so that a miss solves on a goroutine of its
+// own while a hit stays inline; a single request passes nil.
+func (s *Server) answer(ctx context.Context, it *item, wg *sync.WaitGroup) {
+	if rec, ok := s.lookup(it.resp.Digest); ok {
 		s.c.hits.Add(1)
-		writeJSON(w, http.StatusOK, AnalyzeResponse{
-			Digest: digest, Mode: req.Mode, Predicates: req.Predicates, Cached: true, Record: rec,
-			Warnings: warnings,
-		})
+		it.resp.Cached, it.resp.Record, it.outcome = true, rec, cacheHit
 		return
 	}
-	n, err := cr.network()
+	if wg == nil {
+		s.solve(ctx, it)
+		return
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		s.solve(ctx, it)
+	}()
+}
+
+// solve answers a cache miss: parse (needed after a memo hit), then
+// runAnalysis. An item that gets no verdict carries an error record
+// saying why, which a batch slot reports; a single request answers 429 or
+// nothing instead.
+func (s *Server) solve(ctx context.Context, it *item) {
+	n, err := it.cr.network()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		it.resp.Record, it.outcome = ItemError(err.Error()).Record, runError
 		return
 	}
-	res := s.runAnalysis(r.Context(), n, req, digest, deadline)
+	res := s.runAnalysis(ctx, n, it.req, it.resp.Digest, it.deadline)
+	it.resp.Record, it.outcome = res.rec, res.outcome
 	switch res.outcome {
-	case runOK:
-		writeJSON(w, http.StatusOK, AnalyzeResponse{
-			Digest: digest, Mode: req.Mode, Predicates: req.Predicates, Cached: false, Record: res.rec,
-			Warnings: warnings,
-		})
 	case runRejected:
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds(req.Mode+"/"+req.Predicates)))
-		writeError(w, http.StatusTooManyRequests, "analysis queue is full (%d in flight or queued)", cap(s.admit))
-	case runCanceled:
-		// The client is gone; there is no one left to answer.
-	case runPartial:
-		writeJSON(w, http.StatusOK, AnalyzeResponse{
-			Digest: digest, Mode: req.Mode, Predicates: req.Predicates, Cached: false, Record: res.rec,
-			Warnings: warnings,
-		})
-	default: // runError
-		writeJSON(w, http.StatusUnprocessableEntity, AnalyzeResponse{
-			Digest: digest, Mode: req.Mode, Predicates: req.Predicates, Cached: false, Record: res.rec,
-			Warnings: warnings,
-		})
+		it.resp.Record = ItemError("analysis queue is full; retry the item").Record
+	case runCanceled: // the client is gone, or a drain raced a batch
+		it.resp.Record = ItemError("analysis canceled").Record
 	}
 }
 
@@ -693,11 +558,12 @@ func (s *Server) lookup(digest string) (verdictjson.Record, bool) {
 	return rec, ok
 }
 
-// Outcomes of one governed analysis attempt.
+// Outcomes of answering one item.
 type runOutcome int
 
 const (
-	runOK       runOutcome = iota // completed; rec cached and persisted
+	cacheHit    runOutcome = iota // served from the LRU or the store
+	runOK                         // completed; rec cached and persisted
 	runRejected                   // admission refused: queue saturated
 	runCanceled                   // caller's context died first
 	runPartial                    // governor stop; rec is the partial record
@@ -783,9 +649,10 @@ func (s *Server) runAnalysis(ctx context.Context, n *network.Network, req Analyz
 	}
 	// Leader: the run context deliberately does not descend from the
 	// caller's — followers joining later must be able to keep the run
-	// alive after the leader's client disconnects. Drain and
-	// last-waiter-out are the only cancellation paths.
-	runCtx, cancel := context.WithCancel(context.Background())
+	// alive after the leader's client disconnects. It descends from the
+	// server's drain context instead: drain and last-waiter-out are the
+	// only cancellation paths.
+	runCtx, cancel := context.WithCancel(s.drain)
 	f := &flight{done: make(chan struct{}), cancel: cancel, waiters: 1}
 	s.flights[key] = f
 	s.flightMu.Unlock()
@@ -817,12 +684,9 @@ func (s *Server) leadFlight(runCtx, callerCtx context.Context, f *flight, n *net
 	}
 	// The leader holds one waiter reference on behalf of its own client;
 	// a disconnect releases it, and the run stops only if no follower
-	// still wants the answer. Registration keeps CancelInflight
-	// synchronous: when it returns, this context is done.
+	// still wants the answer.
 	stop := context.AfterFunc(callerCtx, func() { s.dropWaiter(f) })
 	defer stop()
-	unregister := s.registerCancel(f.cancel)
-	defer unregister()
 
 	s.c.queued.Add(1)
 	done := runCtx.Done()
@@ -856,11 +720,9 @@ acquire:
 		Hook:     s.cfg.Hook,
 	})
 
-	start := time.Now() //fsplint:ignore detrand latency sample for /statusz quantiles
 	rec, err := s.analyze(n, req, g)
 	switch {
 	case err == nil:
-		s.lat.record(req.Mode+"/"+req.Predicates, time.Since(start)) //fsplint:ignore detrand latency sample for /statusz quantiles
 		s.c.misses.Add(1)
 		s.cache.add(digest, rec)
 		s.store.put(digest, rec)
@@ -883,10 +745,11 @@ acquire:
 }
 
 // analyze dispatches the resolved request onto the governed library entry
-// points.
+// points, and records each completed run once in its class: its latency
+// and engine counters.
 func (s *Server) analyze(n *network.Network, req AnalyzeRequest, g *guard.G) (verdictjson.Record, error) {
+	start := time.Now() //fsplint:ignore detrand latency sample for /statusz quantiles
 	name := n.Process(req.Process).Name()
-	class := req.Mode + "/" + req.Predicates
 	cyclic := req.Mode == "cyclic"
 	if req.Predicates == PredicatesReach {
 		var (
@@ -901,7 +764,7 @@ func (s *Server) analyze(n *network.Network, req AnalyzeRequest, g *guard.G) (ve
 		if err != nil {
 			return verdictjson.Record{}, err
 		}
-		s.exp.record(class, res.Stats)
+		s.classes.record(classOf(req), time.Since(start), res.Stats, nil) //fsplint:ignore detrand latency sample for /statusz quantiles
 		return verdictjson.Reach(name, res.Su, res.Sc), nil
 	}
 	var (
@@ -919,7 +782,6 @@ func (s *Server) analyze(n *network.Network, req AnalyzeRequest, g *guard.G) (ve
 	if err != nil {
 		return verdictjson.Record{}, err
 	}
-	s.exp.record(class, est)
-	s.bel.record(class, bst)
+	s.classes.record(classOf(req), time.Since(start), est, &bst) //fsplint:ignore detrand latency sample for /statusz quantiles
 	return verdictjson.OK(name, v), nil
 }

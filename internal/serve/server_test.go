@@ -475,6 +475,25 @@ func TestDrainCancelInflight(t *testing.T) {
 	}
 }
 
+// TestDrainCancelsLaterAnalyses is CancelInflight's second promise: an
+// analysis admitted after the call starts canceled, so its client gets
+// the partial verdict at once, and nothing is cached.
+func TestDrainCancelsLaterAnalyses(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	s.CancelInflight()
+
+	resp, ar := postJSON(t, ts.URL, AnalyzeRequest{Network: netA})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST after drain = %d, want 200", resp.StatusCode)
+	}
+	assertPartial(t, ar.Record, "canceled")
+	st := getStats(t, ts.URL)
+	if st.Partials != 1 || st.Misses != 0 || st.CacheEntries != 0 {
+		t.Errorf("stats = partials=%d misses=%d cacheEntries=%d, want 1/0/0",
+			st.Partials, st.Misses, st.CacheEntries)
+	}
+}
+
 // TestBadRequests table-tests the 400 surface.
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})

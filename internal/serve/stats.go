@@ -2,7 +2,7 @@ package serve
 
 import (
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -184,145 +184,98 @@ type counters struct {
 // overwritten ring-buffer style so quantiles track recent behavior.
 const latencyWindow = 512
 
-type latencyRing struct {
-	buf  []time.Duration
-	next int
-	n    int
+// classStats is one "<mode>/<predicates>" class's record of completed
+// analyses: a ring of recent latencies and the engine counter totals.
+type classStats struct {
+	ring    [latencyWindow]time.Duration
+	next, n int
+	explore ExploreTotals
+	belief  BeliefTotals
 }
 
-// latencyRecorder keeps one bounded ring of duration samples per
-// "<mode>/<predicates>" class.
-type latencyRecorder struct {
-	mu    sync.Mutex
-	rings map[string]*latencyRing
+// sorted returns the class's latency window in ascending order.
+func (c *classStats) sorted() []time.Duration {
+	samples := slices.Clone(c.ring[:c.n])
+	slices.Sort(samples)
+	return samples
 }
 
-func newLatencyRecorder() *latencyRecorder {
-	return &latencyRecorder{rings: make(map[string]*latencyRing)}
+// classRecorder holds one classStats per class under one mutex. The
+// /statusz latency, explore and belief maps and the 429 Retry-After hint
+// all read it.
+type classRecorder struct {
+	mu      sync.Mutex
+	classes map[string]*classStats
 }
 
-func (l *latencyRecorder) record(class string, d time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	r := l.rings[class]
-	if r == nil {
-		r = &latencyRing{buf: make([]time.Duration, latencyWindow)}
-		l.rings[class] = r
+// record adds one completed analysis of class: its latency, its explore
+// counters, and its belief counters when it ran the belief engine (bst
+// is nil for predicates=reach).
+func (r *classRecorder) record(class string, d time.Duration, est explore.Stats, bst *belief.Stats) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	c := r.classes[class]
+	if c == nil {
+		if r.classes == nil {
+			r.classes = make(map[string]*classStats)
+		}
+		c = &classStats{}
+		r.classes[class] = c
 	}
-	r.buf[r.next] = d
-	r.next = (r.next + 1) % latencyWindow
-	if r.n < latencyWindow {
-		r.n++
+	c.ring[c.next] = d
+	c.next = (c.next + 1) % latencyWindow
+	c.n = min(c.n+1, latencyWindow)
+	c.explore.Analyses++
+	c.explore.States += int64(est.States)
+	c.explore.Moves += est.Moves
+	c.explore.ProbeStates += int64(est.ProbeStates)
+	if bst != nil {
+		c.belief.Analyses++
+		c.belief.CtxStates += int64(bst.CtxStates)
+		c.belief.Beliefs += int64(bst.Beliefs)
+		c.belief.Positions += int64(bst.Positions)
+		c.belief.ProbeStates += int64(bst.ProbeStates)
 	}
 }
 
-// snapshot computes the quantiles of every class's current window.
-func (l *latencyRecorder) snapshot() map[string]Quantiles {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.rings) == 0 {
-		return nil
-	}
-	out := make(map[string]Quantiles, len(l.rings))
-	for class, r := range l.rings {
-		samples := make([]time.Duration, r.n)
-		copy(samples, r.buf[:r.n])
-		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-		out[class] = Quantiles{
-			Count: r.n,
+// snapshot fills st's Latency, Explore and Belief maps; a map stays nil
+// until some class has something to report in it.
+func (r *classRecorder) snapshot(st *Stats) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for class, c := range r.classes {
+		if st.Latency == nil {
+			st.Latency = make(map[string]Quantiles, len(r.classes))
+			st.Explore = make(map[string]ExploreTotals, len(r.classes))
+		}
+		samples := c.sorted()
+		st.Latency[class] = Quantiles{
+			Count: c.n,
 			P50:   quantile(samples, 0.50).String(),
 			P90:   quantile(samples, 0.90).String(),
 			P99:   quantile(samples, 0.99).String(),
 		}
+		st.Explore[class] = c.explore
+		if c.belief.Analyses > 0 {
+			if st.Belief == nil {
+				st.Belief = make(map[string]BeliefTotals)
+			}
+			st.Belief[class] = c.belief
+		}
 	}
-	return out
 }
 
 // p90 returns the 90th-percentile latency of class's current window, or
 // 0 when the class has no samples yet. The 429 path turns it into a
 // Retry-After hint: one p90 analysis from now, a slot is likely free.
-func (l *latencyRecorder) p90(class string) time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	r := l.rings[class]
-	if r == nil || r.n == 0 {
+func (r *classRecorder) p90(class string) time.Duration {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	c := r.classes[class]
+	if c == nil {
 		return 0
 	}
-	samples := make([]time.Duration, r.n)
-	copy(samples, r.buf[:r.n])
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	return quantile(samples, 0.90)
-}
-
-// beliefRecorder accumulates per-class belief-engine counters, the same
-// class keys the latency recorder uses.
-type beliefRecorder struct {
-	mu     sync.Mutex
-	totals map[string]BeliefTotals
-}
-
-func newBeliefRecorder() *beliefRecorder {
-	return &beliefRecorder{totals: make(map[string]BeliefTotals)}
-}
-
-func (b *beliefRecorder) record(class string, st belief.Stats) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	t := b.totals[class]
-	t.Analyses++
-	t.CtxStates += int64(st.CtxStates)
-	t.Beliefs += int64(st.Beliefs)
-	t.Positions += int64(st.Positions)
-	t.ProbeStates += int64(st.ProbeStates)
-	b.totals[class] = t
-}
-
-func (b *beliefRecorder) snapshot() map[string]BeliefTotals {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.totals) == 0 {
-		return nil
-	}
-	out := make(map[string]BeliefTotals, len(b.totals))
-	for class, t := range b.totals {
-		out[class] = t
-	}
-	return out
-}
-
-// exploreRecorder accumulates per-class explore-engine counters, the
-// same class keys the latency recorder uses.
-type exploreRecorder struct {
-	mu     sync.Mutex
-	totals map[string]ExploreTotals
-}
-
-func newExploreRecorder() *exploreRecorder {
-	return &exploreRecorder{totals: make(map[string]ExploreTotals)}
-}
-
-func (e *exploreRecorder) record(class string, st explore.Stats) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	t := e.totals[class]
-	t.Analyses++
-	t.States += int64(st.States)
-	t.Moves += st.Moves
-	t.ProbeStates += int64(st.ProbeStates)
-	e.totals[class] = t
-}
-
-func (e *exploreRecorder) snapshot() map[string]ExploreTotals {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(e.totals) == 0 {
-		return nil
-	}
-	out := make(map[string]ExploreTotals, len(e.totals))
-	for class, t := range e.totals {
-		out[class] = t
-	}
-	return out
+	return quantile(c.sorted(), 0.90)
 }
 
 // quantile returns the q-th quantile of sorted samples (nearest rank).

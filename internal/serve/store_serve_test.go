@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"fspnet/internal/explore"
 	"fspnet/internal/store"
 	"fspnet/internal/verdictjson"
 )
@@ -68,7 +69,7 @@ func TestRetryAfterOn429(t *testing.T) {
 
 	// Seed the latency ring so the hint is demonstrably latency-derived:
 	// a 2.5s p90 must round up to a 3s hint.
-	s.lat.record("acyclic/all", 2500*time.Millisecond)
+	s.classes.record("acyclic/all", 2500*time.Millisecond, explore.Stats{}, nil)
 
 	first := postAsync(t, ts.URL, netA)
 	<-hook.entered // the worker is parked inside the governor
@@ -101,7 +102,7 @@ func TestRetryAfterFloorWithoutSamples(t *testing.T) {
 	if got := s.retryAfterSeconds("cyclic/all"); got != 1 {
 		t.Errorf("retryAfterSeconds with empty ring = %d, want the 1s floor", got)
 	}
-	s.lat.record("cyclic/all", 10*time.Millisecond)
+	s.classes.record("cyclic/all", 10*time.Millisecond, explore.Stats{}, nil)
 	if got := s.retryAfterSeconds("cyclic/all"); got != 1 {
 		t.Errorf("retryAfterSeconds with 10ms p90 = %d, want the 1s floor", got)
 	}
